@@ -17,6 +17,14 @@ cargo build --release "${CARGO_FLAGS[@]}"
 echo "==> cargo test"
 cargo test -q --release "${CARGO_FLAGS[@]}"
 
+echo "==> sessionbench build + tests"
+# sessionbench (the session-level benchmark) declares its own
+# [workspace], so --workspace above never compiles it; build and test it
+# here so a public-API change in the stack cannot break the benchmark
+# unseen. .bench_build is the benchmark's gitignored target dir.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
+    --manifest-path sessionbench/Cargo.toml
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy"
     # The allow-by-default lints guard the zero-allocation hot paths

@@ -106,16 +106,8 @@ impl Localizer {
 
     /// Workspace variant of [`Localizer::profile_diffs`]: fills
     /// `ws.profiles` and `ws.diffs` per antenna, allocation-free on a
-    /// warmed workspace, bitwise identical to the allocating path.
-    ///
-    /// Per antenna, all chirps are dechirped and windowed into
-    /// `ws.batch`, the range FFTs run as **one batched plan traversal**
-    /// ([`milback_dsp::plan::FftPlan::forward_many_in_place`]), and the
-    /// spectra are flipped into the profile pool. Each chirp's profile
-    /// is an independent FP computation performed by the same kernels,
-    /// so batching changes nothing numerically (pinned by the
-    /// golden-vector tests in `milback_dsp::plan` and the
-    /// `process_with == process` test below).
+    /// warmed workspace, bitwise identical to the allocating path
+    /// (pinned by the `process_with == process` test below).
     pub fn profile_diffs_with(
         &self,
         ws: &mut DspWorkspace,
@@ -123,52 +115,28 @@ impl Localizer {
         captures: &[[Signal; 2]],
     ) {
         assert!(captures.len() >= 2, "need at least two chirps");
-        for ant in 0..2 {
-            DspWorkspace::ensure_pool(&mut ws.profiles[ant], captures.len());
-            DspWorkspace::ensure_pool(&mut ws.batch, captures.len());
-            for (i, pair) in captures.iter().enumerate() {
-                self.proc.dechirp_into(&pair[ant], tx_ref, &mut ws.dechirp);
-                self.proc.window_and_pad_into(&ws.dechirp, &mut ws.batch[i]);
-            }
-            milback_dsp::plan::with_plan(self.proc.fft_len, |p| {
-                p.forward_many_in_place(&mut ws.batch)
-            });
-            for (spec, prof) in ws.batch.iter().zip(ws.profiles[ant].iter_mut()) {
-                self.proc.flip_into(spec, prof);
-            }
-            pairwise_diff_spectra_into(&ws.profiles[ant], &mut ws.diffs[ant]);
-        }
+        self.live_profile_diffs_with(ws, tx_ref, captures, None);
     }
 
-    /// Masked variant of [`Localizer::profile_diffs_with`]: processes
-    /// only the chirps whose `alive` flag is set, in capture order,
-    /// without copying the retained subset. Bitwise identical to
-    /// filtering `captures` through `alive` and calling
-    /// `profile_diffs_with` on the copy (each chirp's profile is an
-    /// independent computation). The session triage path uses this so a
-    /// reduced-chirp fallback stays allocation-free on a warmed
-    /// workspace.
-    pub fn profile_diffs_masked_with(
+    /// The one per-chirp loop behind the full burst and the masked
+    /// triage: dechirp → range profile for every chirp whose `alive`
+    /// flag is set (all of them when `alive` is `None`), in capture
+    /// order, then background subtraction per antenna.
+    fn live_profile_diffs_with(
         &self,
         ws: &mut DspWorkspace,
         tx_ref: &Signal,
         captures: &[[Signal; 2]],
-        alive: &[bool],
+        alive: Option<&[bool]>,
     ) {
-        assert_eq!(alive.len(), captures.len(), "mask length mismatch");
-        let n_alive = alive.iter().filter(|&&a| a).count();
-        assert!(n_alive >= 2, "need at least two live chirps");
+        let is_live = |i: usize| alive.is_none_or(|a| a[i]);
+        let n = (0..captures.len()).filter(|&i| is_live(i)).count();
         for ant in 0..2 {
-            DspWorkspace::ensure_pool(&mut ws.profiles[ant], n_alive);
-            let mut k = 0;
-            for (pair, &live) in captures.iter().zip(alive) {
-                if !live {
-                    continue;
-                }
+            DspWorkspace::ensure_pool(&mut ws.profiles[ant], n);
+            let live = captures.iter().enumerate().filter(|&(i, _)| is_live(i));
+            for ((_, pair), prof) in live.zip(ws.profiles[ant].iter_mut()) {
                 self.proc.dechirp_into(&pair[ant], tx_ref, &mut ws.dechirp);
-                self.proc
-                    .range_profile_into(&ws.dechirp, &mut ws.fft, &mut ws.profiles[ant][k]);
-                k += 1;
+                self.proc.range_profile_into(&ws.dechirp, &mut ws.fft, prof);
             }
             pairwise_diff_spectra_into(&ws.profiles[ant], &mut ws.diffs[ant]);
         }
@@ -283,9 +251,12 @@ impl Localizer {
         captures: &[[Signal; 2]],
         alive: &[bool],
     ) -> Option<LocalizationResult> {
+        assert_eq!(alive.len(), captures.len(), "mask length mismatch");
+        let n_alive = alive.iter().filter(|&&a| a).count();
+        assert!(n_alive >= 2, "need at least two live chirps");
         let _span = milback_telemetry::span("ap.localize.ns");
         milback_telemetry::counter_add("ap.localize.attempts", 1);
-        self.profile_diffs_masked_with(ws, tx_ref, captures, alive);
+        self.live_profile_diffs_with(ws, tx_ref, captures, Some(alive));
         self.finish_with(ws, tx_ref.fs)
     }
 

@@ -10,7 +10,6 @@
 //! * [`link`] — OAQFM downlink and backscatter uplink (§6),
 //! * [`protocol`] — the full packet exchange (§7): mode signalling,
 //!   preamble, payload,
-//! * [`multinode`] — SDM multi-node deployments with a polling MAC,
 //! * [`dense_link`] — multi-amplitude "dense OAQFM" (§9.4 extension),
 //! * [`adaptation`] — the closed-loop [`adaptation::LinkPolicy`]
 //!   controller (rate/OOK/chirp/ARQ levers), rate fallback,
@@ -66,7 +65,6 @@ pub mod config;
 pub mod dense_link;
 pub mod experiments;
 pub mod link;
-pub mod multinode;
 pub mod net;
 pub mod network;
 pub mod protocol;
@@ -85,7 +83,6 @@ pub use chaos::{chaos_sweep, ChaosOutcome, ChaosPoint};
 pub use config::{ApParams, Fidelity};
 pub use dense_link::DenseDownlinkReport;
 pub use link::{DownlinkReport, UplinkReport};
-pub use multinode::{MultiNetwork, SlotResult};
 pub use net::{
     ap_line, density_sweep, net_roster, DensityPoint, Fabric, NetConfig, RoundReport,
     RoundSchedule, Slot, SlotOutcome,

@@ -139,48 +139,18 @@ impl Network {
     /// scene, with the AP's beams steered at the node (the paper steers
     /// mechanically).
     pub fn new(pose: Pose, fidelity: Fidelity, seed: u64) -> Self {
-        let mut scene = Scene::milback_indoor();
-        scene.steer_towards(&pose.position);
-        Self {
-            scene,
-            node: BackscatterNode::milback(pose),
-            ap: ApParams::milback(),
-            fidelity,
-            faults: FaultPlan::none(),
-            clock_s: 0.0,
-            interferers: Vec::new(),
-            force_single_tone: false,
-            rng: StdRng::seed_from_u64(seed),
-            link_scratch: LinkScratch::default(),
-        }
-    }
-
-    /// Assembles a network from explicit parts (used by the multi-node
-    /// deployment to create per-slot single-node views).
-    pub fn from_parts(
-        scene: Scene,
-        node: BackscatterNode,
-        ap: ApParams,
-        fidelity: Fidelity,
-        seed: u64,
-    ) -> Self {
-        Self {
-            scene,
-            node,
-            ap,
-            fidelity,
-            faults: FaultPlan::none(),
-            clock_s: 0.0,
-            interferers: Vec::new(),
-            force_single_tone: false,
-            rng: StdRng::seed_from_u64(seed),
-            link_scratch: LinkScratch::default(),
-        }
+        Self::in_scene(Scene::milback_indoor(), pose, fidelity, seed)
     }
 
     /// Builds a clutter-free network (for microbenchmarks).
     pub fn free_space(pose: Pose, fidelity: Fidelity, seed: u64) -> Self {
-        let mut scene = Scene::free_space();
+        Self::in_scene(Scene::free_space(), pose, fidelity, seed)
+    }
+
+    /// Shared body of [`Self::new`] and [`Self::free_space`]: a MilBack
+    /// node at `pose` in `scene`, beams steered at it, no faults and no
+    /// interferers.
+    fn in_scene(mut scene: Scene, pose: Pose, fidelity: Fidelity, seed: u64) -> Self {
         scene.steer_towards(&pose.position);
         Self {
             scene,

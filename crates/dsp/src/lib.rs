@@ -18,16 +18,12 @@
 //! * [`goertzel`] — single-bin DFT for cheap tone-power probes,
 //! * [`stft`] — short-time Fourier transform (spectrograms),
 //! * [`plan`] — cached FFT plans (precomputed twiddles, bit-reversal
-//!   tables, Bluestein kernels, fused radix-4 butterflies, batched
-//!   execution) backing the [`fft`] free functions,
-//! * [`realfft`] — real-input FFT via a packed half-length complex
-//!   transform + untangling pass (DESIGN.md §17),
+//!   tables, Bluestein kernels, fused radix-4 butterflies) backing the
+//!   [`fft`] free functions; the workspace's single f64 complex FFT
+//!   tier (DESIGN.md §17),
 //! * [`simd`] — runtime-dispatched AVX butterfly kernels, bitwise
 //!   identical to the scalar loops (x86-64 only; scalar fallback
 //!   everywhere else),
-//! * [`num32`] / [`plan32`] — the opt-in f32 sweep tier
-//!   ([`num32::Cpx32`], [`plan32::Fft32Plan`]): accuracy-bounded, never
-//!   on the bitwise reference path,
 //! * [`buffer`] — reusable-buffer helpers for the zero-allocation
 //!   `_into` hot paths (DESIGN.md §12),
 //! * [`phasor`] — phasor-recurrence carrier rotation with periodic
@@ -61,11 +57,8 @@ pub mod filter;
 pub mod goertzel;
 pub mod noise;
 pub mod num;
-pub mod num32;
 pub mod phasor;
 pub mod plan;
-pub mod plan32;
-pub mod realfft;
 pub mod resample;
 pub mod signal;
 pub mod simd;

@@ -12,61 +12,60 @@
 //! cargo run --release --example multi_node_sdm
 //! ```
 
-use milback::multinode::MultiNetwork;
 use milback::net::{ap_line, net_roster, Fabric, NetConfig};
 use milback::{Fidelity, Network};
-use milback_proto::mac::PollSchedule;
 use milback_rf::geometry::{deg_to_rad, Pose};
 
 fn main() {
     // Three nodes spread across the AP's field of view — ALL physically
-    // present in the channel at once; the AP steers per slot (SDM).
-    let names = ["headset  ", "wristband", "anchor   "];
-    let poses = vec![
+    // present in the channel at once; the AP steers per slot (SDM) and
+    // the off-slot nodes park absorptive, their residual reflections
+    // layered into the scheduled node's captures.
+    let names = ["headset", "wristband", "anchor"];
+    let poses = [
         Pose::facing_ap(2.5, deg_to_rad(-25.0), deg_to_rad(10.0)),
         Pose::facing_ap(4.0, deg_to_rad(0.0), deg_to_rad(-8.0)),
         Pose::facing_ap(6.0, deg_to_rad(30.0), deg_to_rad(15.0)),
     ];
-    let truths = [2.5, 4.0, 6.0];
 
     println!(
-        "MilBack SDM demo: one AP polling {} co-present nodes",
+        "MilBack SDM demo: one AP polling {} co-present nodes (uplink round)",
         poses.len()
     );
-    let mut net = MultiNetwork::new(poses, Fidelity::Fast, 4000);
-    let schedule = PollSchedule::round_robin_uplink(3);
-    let payloads: Vec<Vec<u8>> = names
-        .iter()
-        .map(|n| format!("{}:report", n.trim()).into_bytes())
-        .collect();
-    let results = net.run_round(&schedule, &payloads, 5e6);
+    let mut config = NetConfig::milback(Fidelity::Fast);
+    config.localize_fraction = 0.0;
+    config.uplink_fraction = 1.0;
+    let aps = ap_line(1, 0.0);
+    let mut sdm = Fabric::new(&aps, &poses, config);
+    sdm.reseed(4000);
+    let round = sdm.run_round(1);
 
     println!(
-        "{:<10} {:>9} {:>10} {:>10} {:>9}",
-        "node", "true_m", "est_m", "UL SNR", "UL ok"
+        "{:<10} {:>7} {:>7} {:>9}",
+        "node", "true_m", "est_m", "UL ok"
     );
-    for r in &results {
-        let est = r
-            .fix
-            .map(|f| format!("{:.2}", f.range))
-            .unwrap_or_else(|| "miss".into());
-        let (snr, ok) = match &r.uplink {
-            Some(u) => (
-                format!("{:.1} dB", 10.0 * u.snr.log10()),
-                if u.payload.is_ok() { "yes" } else { "crc!" },
-            ),
-            None => ("-".to_string(), "no"),
+    for (k, (name, pose)) in names.iter().zip(&poses).enumerate() {
+        let out = sdm.outcome(k);
+        let est = if out.fix_range_bits == u64::MAX {
+            "miss".to_string()
+        } else {
+            format!("{:.2}", f64::from_bits(out.fix_range_bits))
         };
+        let ok = if out.delivered { "yes" } else { "no" };
         println!(
-            "{:<10} {:>9.2} {:>10} {:>10} {:>9}",
-            names[r.node], truths[r.node], est, snr, ok
+            "{:<10} {:>7.2} {:>7} {:>9}",
+            name,
+            pose.position.distance_to(&aps[0]),
+            est,
+            ok
         );
     }
-    // Per-node throughput under this schedule.
-    let pkt = net.fidelity.packet();
     println!(
-        "per-node uplink throughput in this round-robin: {:.2} Mbps",
-        schedule.per_node_uplink_throughput(0, &pkt, 1e-3) / 1e6
+        "round: {}/{} delivered, span {:.1} ms, {:.0} bit/s aggregate goodput",
+        round.delivered,
+        round.sessions,
+        round.round_airtime_s * 1e3,
+        round.goodput_bps
     );
 
     println!();
@@ -94,8 +93,8 @@ fn main() {
         10.0 * (g_wrist / g_head).log10()
     );
 
-    // Scaling up: the dense-network fabric (milback::net) runs the same
-    // polling discipline across coverage cells — here two APs 4 m apart
+    // Scaling up: the same fabric runs the polling discipline across
+    // several coverage cells — here two APs 4 m apart
     // serving a dozen nodes for one slotted round, with parked-neighbor
     // interference and strongest-response cell assignment.
     println!();

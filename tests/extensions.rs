@@ -2,10 +2,10 @@
 //! paper's core: dense OAQFM, multi-node SDM, velocity measurement,
 //! reliable delivery and large-message transfer.
 
-use milback::multinode::MultiNetwork;
-use milback::{Fidelity, Network};
+use milback::net::{ap_line, Fabric, NetConfig};
+use milback::{Fidelity, Interferer, Network, Workload};
+use milback_node::node::BackscatterNode;
 use milback_proto::dense::DenseConstellation;
-use milback_proto::mac::PollSchedule;
 use milback_proto::multiframe::{fragment, Reassembler};
 use milback_rf::geometry::{deg_to_rad, Pose};
 
@@ -30,23 +30,31 @@ fn dense_oaqfm_rate_range_tradeoff() {
     assert_eq!(dense.bit_rate, 2.0 * 1e6 * 2.0);
 }
 
+/// SDM polling (paper §7): one AP serves two co-present nodes, one slot
+/// each, with the off-slot node parked in the channel as interference.
 #[test]
-fn multinode_round_localizes_and_delivers_all() {
-    let poses = vec![
+fn sdm_round_localizes_and_delivers_all() {
+    let poses = [
         Pose::facing_ap(2.0, deg_to_rad(-15.0), deg_to_rad(8.0)),
         Pose::facing_ap(4.0, deg_to_rad(10.0), deg_to_rad(-10.0)),
     ];
-    let mut net = MultiNetwork::new(poses, Fidelity::Fast, 5002);
-    let schedule = PollSchedule::round_robin_uplink(2);
-    let payloads = vec![vec![0xAA; 8], vec![0x55; 8]];
-    let results = net.run_round(&schedule, &payloads, 5e6);
-    for (k, r) in results.iter().enumerate() {
-        assert!(r.fix.is_some(), "node {k} not localized");
-        let ul = r
-            .uplink
-            .as_ref()
-            .unwrap_or_else(|| panic!("node {k} no uplink"));
-        assert_eq!(ul.payload.as_deref().unwrap(), &payloads[k][..]);
+    let mut config = NetConfig::milback(Fidelity::Fast);
+    config.localize_fraction = 0.0;
+    config.uplink_fraction = 1.0;
+    config.payload_len = 8;
+    let mut fabric = Fabric::new(&ap_line(1, 0.0), &poses, config);
+    fabric.reseed(5002);
+    let round = fabric.run_round(1);
+    assert_eq!(round.sessions, 2);
+    for k in 0..2 {
+        let out = fabric.outcome(k);
+        assert_eq!(out.workload, Workload::Uplink, "node {k}");
+        assert_eq!(
+            out.interferers, 1,
+            "node {k}: neighbor not parked in channel"
+        );
+        assert!(out.delivered, "node {k} uplink not delivered");
+        assert!(out.fix_range_bits != u64::MAX, "node {k} not localized");
     }
 }
 
@@ -157,18 +165,28 @@ fn coverage_map_matches_adaptive_rates() {
 /// but localization must find the *modulating* node, not the parked one.
 #[test]
 fn sdm_separates_target_from_coazimuth_neighbor() {
-    let poses = vec![
-        Pose::facing_ap(2.5, deg_to_rad(2.0), deg_to_rad(8.0)),
-        Pose::facing_ap(5.0, deg_to_rad(-2.0), deg_to_rad(-8.0)), // nearly co-azimuth
-    ];
-    let mut net = MultiNetwork::new(poses, Fidelity::Fast, 5500);
-    // Localizing node 0 must return ~2.5 m, not the neighbor's 5 m:
-    // the neighbor is parked absorptive, so background subtraction
-    // removes what little it reflects.
-    let fix0 = net.localize_node(0).expect("node 0 lost");
-    assert!((fix0.range - 2.5).abs() < 0.3, "node 0 at {}", fix0.range);
-    let fix1 = net.localize_node(1).expect("node 1 lost");
-    assert!((fix1.range - 5.0).abs() < 0.3, "node 1 at {}", fix1.range);
+    let near = Pose::facing_ap(2.5, deg_to_rad(2.0), deg_to_rad(8.0));
+    let far = Pose::facing_ap(5.0, deg_to_rad(-2.0), deg_to_rad(-8.0)); // nearly co-azimuth
+                                                                        // Localizing either node must return its own range, not the
+                                                                        // neighbor's: the neighbor is parked absorptive, so background
+                                                                        // subtraction removes what little it reflects.
+    for (target, neighbor, truth) in [(near, far, 2.5), (far, near, 5.0)] {
+        let mut net = Network::new(target, Fidelity::Fast, 5500);
+        let parked = BackscatterNode::milback(neighbor);
+        net.interferers.push(Interferer {
+            pose: neighbor,
+            fsa: parked.fsa,
+            gamma: parked.parked_gamma(),
+        });
+        let fix = net
+            .localize()
+            .unwrap_or_else(|| panic!("node at {truth} m lost"));
+        assert!(
+            (fix.range - truth).abs() < 0.3,
+            "node at {truth} m localized at {}",
+            fix.range
+        );
+    }
 }
 
 /// FEC extends usable range: at a distance where the uncoded link drops
