@@ -78,58 +78,45 @@ echo "==> kernel perf gate (burst + range FFT vs committed baseline)"
 cargo run --release --offline -p milback-bench --bin bench_engine -- \
     --kernels-only --check-against BENCH_6.json
 
-echo "==> chaos smoke (fault-injection determinism)"
-# The chaos leg (DESIGN.md §14) runs supervised sessions under sampled
-# fault plans serially and in parallel, asserting identical outcomes and
-# byte-identical telemetry deterministic views inside one process. Two
-# back-to-back runs then pin cross-process determinism: same seeds, same
-# faults, same recoveries — the view files must compare equal with cmp.
-MILBACK_TELEMETRY=1 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --chaos-only --chaos-view target/chaos_view_1.json >/dev/null
-MILBACK_TELEMETRY=1 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --chaos-only --chaos-view target/chaos_view_2.json >/dev/null
-cmp target/chaos_view_1.json target/chaos_view_2.json
-
-echo "==> serve smoke (serving-pool soak determinism)"
-# The serving soak (DESIGN.md §15) pushes a seeded Poisson schedule past
-# the virtual server's capacity through the work-stealing session pool,
-# serially and in parallel, asserting identical resolutions and
-# byte-identical deterministic telemetry views inside one process. The
-# two runs below additionally pin cross-process AND cross-thread-count
-# determinism: one capped at a single worker, one at four — the
-# deterministic-view files must still compare equal with cmp.
-MILBACK_TELEMETRY=1 MILBACK_THREADS=1 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --serve --serve-only --serve-view target/serve_view_1.json >/dev/null
-MILBACK_TELEMETRY=1 MILBACK_THREADS=4 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --serve --serve-only --serve-view target/serve_view_2.json >/dev/null
-cmp target/serve_view_1.json target/serve_view_2.json
-
-echo "==> net smoke (dense-network fabric determinism)"
-# The net leg (DESIGN.md §16) sweeps the dense-network fabric across
-# node densities — two APs, slotted polling rounds with drift, handoffs
-# and parked-neighbor interference — serially and in parallel, asserting
-# per-density digest equality and byte-identical deterministic telemetry
-# views inside one process. The two runs below pin cross-process AND
-# cross-thread-count determinism: the deterministic per-density tables
-# (and views) must compare equal with cmp at 1 and at 4 workers.
-MILBACK_TELEMETRY=1 MILBACK_THREADS=1 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --net --net-only --net-view target/net_view_1.json >/dev/null
-MILBACK_TELEMETRY=1 MILBACK_THREADS=4 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --net --net-only --net-view target/net_view_2.json >/dev/null
-cmp target/net_view_1.json target/net_view_2.json
-
-echo "==> adaptive smoke (closed-loop controller determinism)"
-# The adaptive leg (DESIGN.md §18) runs the adaptive-vs-fixed scenario
-# sweep — every §14 stressor fixed and closed-loop on paired seeds —
-# through the batch engine; inside one process it already asserts the
-# 1-thread and N-thread sweeps bitwise equal. The two runs below pin
-# cross-process AND cross-thread-count determinism: the deterministic
-# per-scenario tables must compare equal with cmp at 1 and at 4 workers.
-MILBACK_TELEMETRY=1 MILBACK_THREADS=1 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --adaptive-only --adaptive-view target/adaptive_view_1.txt >/dev/null
-MILBACK_TELEMETRY=1 MILBACK_THREADS=4 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --adaptive-only --adaptive-view target/adaptive_view_2.txt >/dev/null
-cmp target/adaptive_view_1.txt target/adaptive_view_2.txt
+# Determinism smokes: each leg runs twice and the two deterministic-view
+# files must compare equal with cmp. Fields per leg: name, view-file
+# extension, MILBACK_THREADS of run 1 and of run 2 ("-" = unset), then
+# the bench_engine leg flags (the view path is appended after them).
+#
+# chaos (DESIGN.md §14): supervised sessions under sampled fault plans,
+#   serial and parallel inside one process; two back-to-back runs pin
+#   cross-process determinism — same seeds, faults and recoveries.
+# serve (DESIGN.md §15): a seeded Poisson schedule past the virtual
+#   server's capacity through the work-stealing session pool; one run
+#   capped at a single worker, one at four, pins cross-process AND
+#   cross-thread-count determinism.
+# net (DESIGN.md §16): the dense-network fabric across node densities —
+#   two APs, slotted polling rounds with drift, handoffs and
+#   parked-neighbor interference — at 1 and at 4 workers.
+# adaptive (DESIGN.md §18): the adaptive-vs-fixed scenario sweep, every
+#   §14 stressor fixed and closed-loop on paired seeds, at 1 and at 4
+#   workers (in-process it already asserts 1-thread == N-thread).
+DETERMINISM_LEGS=(
+    "chaos json - - --chaos-only --chaos-view"
+    "serve json 1 4 --serve --serve-only --serve-view"
+    "net json 1 4 --net --net-only --net-view"
+    "adaptive txt 1 4 --adaptive-only --adaptive-view"
+)
+for spec in "${DETERMINISM_LEGS[@]}"; do
+    read -r leg ext threads_1 threads_2 flags <<<"$spec"
+    echo "==> $leg smoke (cross-process determinism)"
+    run=1
+    for threads in "$threads_1" "$threads_2"; do
+        thread_env=()
+        [ "$threads" != - ] && thread_env=(MILBACK_THREADS="$threads")
+        # shellcheck disable=SC2086 # $flags is a word list on purpose
+        env MILBACK_TELEMETRY=1 "${thread_env[@]}" \
+            cargo run --release --offline -p milback-bench --bin bench_engine -- \
+            --smoke $flags "target/${leg}_view_$run.$ext" >/dev/null
+        run=$((run + 1))
+    done
+    cmp "target/${leg}_view_1.$ext" "target/${leg}_view_2.$ext"
+done
 
 echo "==> docs freshness (ARCHITECTURE/README section refs resolve in DESIGN.md)"
 # Every "DESIGN.md §N" reference in the top-level maps must point at a

@@ -177,9 +177,10 @@ impl UplinkReceiver {
             let factor = (ratio.floor() as usize).clamp(2, 8);
             let new_fs = sig.fs / factor as f64;
             let idx = cached_fir(&mut scr.firs, 0.35 * new_fs, sig.fs);
-            scr.firs[idx].1.apply_into(&sig.samples, &mut scr.filt);
-            sig.samples.clear();
-            sig.samples.extend(scr.filt.iter().step_by(factor).copied());
+            scr.firs[idx]
+                .1
+                .apply_into(&sig.samples, factor, &mut scr.filt);
+            std::mem::swap(&mut sig.samples, &mut scr.filt);
             sig.fs = new_fs;
         }
         // DC block (the band-pass filter of Fig. 7): remove the capture

@@ -501,12 +501,11 @@ impl Network {
     /// Runs a full uplink transfer of `payload` at `symbol_rate`
     /// symbols/s.
     ///
-    /// Steady-state allocations: the decoded payload `Vec<u8>` plus the
-    /// AP receiver's internal demodulation buffers
-    /// ([`UplinkReceiver::demodulate`] mixes, decimates and projects per
-    /// branch into fresh vectors) — everything node-side and channel-side
-    /// is pooled in `LinkScratch`. `tests/zero_alloc.rs` pins the
-    /// total with an upper bound.
+    /// Steady-state allocations: only the decoded payload `Vec<u8>` in
+    /// the report. Node-side and channel-side buffers are pooled in
+    /// `LinkScratch`, and the AP receiver demodulates through its pooled
+    /// `UplinkScratch` ([`UplinkReceiver::demodulate_into`]).
+    /// `tests/zero_alloc.rs` pins a warmed transfer at ≤ 1 allocation.
     pub fn uplink(
         &mut self,
         payload: &[u8],

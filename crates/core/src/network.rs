@@ -281,8 +281,12 @@ impl Network {
         while burst.captures.len() < n_chirps {
             burst.captures.push([empty_signal(), empty_signal()]);
         }
-        // Backscatter passes the node's implementation loss twice.
+        // Backscatter passes the node's implementation loss twice. This
+        // expression differs from `BackscatterNode::gamma_schedule`'s
+        // squared one-way factor by an ulp at 6 dB; each site keeps its
+        // own so neither render drifts.
         let two_way_loss = 10f64.powf(-2.0 * self.node.impl_loss_db / 20.0);
+        let gammas = self.node.switch.port_gammas(two_way_loss);
         // Inter-node interference accounting (DESIGN.md §16). The loop
         // below adds each parked neighbor's reflection into every
         // capture *deterministically* — counts depend only on the slot's
@@ -299,11 +303,10 @@ impl Network {
         }
         for (i, pair) in burst.captures.iter_mut().enumerate() {
             let t_off = i as f64 * chirp_cfg.duration;
-            let switch = self.node.switch;
             let gamma = |t: f64| -> [Cpx; 2] {
                 [
-                    switch.gamma(schedule_a.state_at(t_off + t)) * two_way_loss,
-                    switch.gamma(schedule_b.state_at(t_off + t)) * two_way_loss,
+                    gammas.of(schedule_a.state_at(t_off + t)),
+                    gammas.of(schedule_b.state_at(t_off + t)),
                 ]
             };
             let node_if = NodeInterface {

@@ -117,30 +117,38 @@ impl Fir {
     /// the input length, aligned to remove the group delay).
     pub fn apply(&self, input: &[Cpx]) -> Vec<Cpx> {
         let mut out = Vec::new();
-        self.apply_into(input, &mut out);
+        self.apply_into(input, 1, &mut out);
         out
     }
 
-    /// [`Fir::apply`] into a pooled buffer: `out` is cleared and refilled
-    /// (reusing its capacity), with accumulation order identical to
-    /// `apply` — same input, same taps, bitwise-same output.
-    pub fn apply_into(&self, input: &[Cpx], out: &mut Vec<Cpx>) {
+    /// [`Fir::apply`] keeping only every `step`-th output sample (indices
+    /// 0, `step`, 2·`step`, …): filter-and-decimate in one pass, computing
+    /// only the kept outputs. `out` is cleared and refilled, reusing its
+    /// capacity. Each output accumulates its in-range taps in ascending
+    /// tap order — the order of the full-length "same" convolution with
+    /// out-of-range taps skipped — so the result is bitwise equal to
+    /// `apply(input)` followed by `step_by(step)`.
+    pub fn apply_into(&self, input: &[Cpx], step: usize, out: &mut Vec<Cpx>) {
+        assert!(step >= 1, "decimation step must be at least 1");
         let n = input.len();
         let k = self.taps.len();
         let delay = (k - 1) / 2;
         out.clear();
-        out.resize(n, ZERO);
-        for (i, slot) in out.iter_mut().enumerate() {
+        for i in (0..n).step_by(step) {
+            // Output i is full-convolution index c = i + delay; tap j reads
+            // input[c − j], which exists for c + 1 − n ≤ j ≤ c.
+            let c = i + delay;
+            let j_lo = (c + 1).saturating_sub(n);
+            let j_hi = (c + 1).min(k);
             let mut acc = ZERO;
-            for (j, t) in self.taps.iter().enumerate() {
-                // Output sample i corresponds to full-convolution index
-                // i + delay.
-                let idx = (i + delay) as isize - j as isize;
-                if idx >= 0 && (idx as usize) < n {
-                    acc += input[idx as usize] * *t;
-                }
+            for (x, t) in input[c + 1 - j_hi..=c - j_lo]
+                .iter()
+                .rev()
+                .zip(&self.taps[j_lo..j_hi])
+            {
+                acc += *x * *t;
             }
-            *slot = acc;
+            out.push(acc);
         }
     }
 
@@ -394,6 +402,56 @@ mod tests {
         let p: f64 = out[1000..3000].iter().map(|c| c.norm_sq()).sum::<f64>() / 2000.0;
         // Output should be ~ the node power (0.01), not the DC power (100).
         assert!((p - 0.01).abs() < 0.003, "filtered power {p}");
+    }
+
+    /// The full-length "same" convolution with a bounds test on every
+    /// tap: the reference the strided kernel must reproduce bitwise.
+    fn full_length_reference(fir: &Fir, input: &[Cpx]) -> Vec<Cpx> {
+        let n = input.len();
+        let delay = (fir.taps.len() - 1) / 2;
+        (0..n)
+            .map(|i| {
+                let mut acc = ZERO;
+                for (j, t) in fir.taps.iter().enumerate() {
+                    let idx = (i + delay) as isize - j as isize;
+                    if idx >= 0 && (idx as usize) < n {
+                        acc += input[idx as usize] * *t;
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn strided_fir_is_bitwise_full_length_step_by() {
+        let fir = Fir::lowpass_with_window(0.1e6, 1e6, 127, crate::window::Window::BlackmanHarris);
+        let short = Fir::lowpass(0.2e6, 1e6, 7);
+        let mut out = Vec::new();
+        for f in [&fir, &short] {
+            // Empty, one sample, fewer samples than taps, odd lengths.
+            for n in [0, 1, 2, 5, 63, 126, 127, 128, 301, 1001] {
+                let input: Vec<Cpx> = (0..n)
+                    .map(|i| {
+                        let x = i as f64;
+                        Cpx::new((0.37 * x).sin() + 0.1, (0.11 * x).cos() - 0.3 * x.sqrt())
+                    })
+                    .collect();
+                let full = full_length_reference(f, &input);
+                assert_eq!(f.apply(&input), full, "stride 1, n = {n}");
+                for step in 1..=8 {
+                    f.apply_into(&input, step, &mut out);
+                    let want: Vec<Cpx> = full.iter().step_by(step).copied().collect();
+                    assert_eq!(out.len(), want.len(), "n = {n}, step = {step}");
+                    for (i, (a, b)) in out.iter().zip(&want).enumerate() {
+                        assert!(
+                            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                            "n = {n}, step = {step}, output {i}: {a:?} vs {b:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

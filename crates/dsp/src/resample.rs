@@ -1,26 +1,9 @@
-//! Rate conversion: decimation with anti-alias filtering and arbitrary-time
-//! sampling.
+//! Rate conversion: block-average decimation and arbitrary-time sampling.
+//! (Filter-and-decimate of complex streams is [`crate::filter::Fir::apply_into`]
+//! with a stride.)
 //!
 //! The node's MCU samples the envelope-detector outputs at 1 MHz while the
 //! RF-level simulation runs at GS/s rates; this module bridges the two.
-
-use crate::filter::Fir;
-use crate::num::Cpx;
-use crate::signal::Signal;
-
-/// Decimates a complex signal by integer factor `m` after an anti-alias
-/// low-pass at 80% of the new Nyquist frequency.
-pub fn decimate(sig: &Signal, m: usize) -> Signal {
-    assert!(m >= 1, "decimation factor must be >= 1");
-    if m == 1 {
-        return sig.clone();
-    }
-    let new_fs = sig.fs / m as f64;
-    let fir = Fir::lowpass(0.4 * new_fs, sig.fs, 63);
-    let filtered = fir.apply(&sig.samples);
-    let samples: Vec<Cpx> = filtered.iter().step_by(m).copied().collect();
-    Signal::new(new_fs, sig.fc, samples)
-}
 
 /// Decimates a real-valued sequence by integer factor `m` with a moving
 /// average of length `m` as the anti-alias filter (the natural model of an
@@ -69,34 +52,6 @@ pub fn resample_linear(input: &[f64], fs_in: f64, fs_out: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn decimate_keeps_low_frequency_tone() {
-        let fs = 1e6;
-        let s = Signal::tone(fs, 0.0, 5e3, 1.0, 8000);
-        let d = decimate(&s, 10);
-        assert_eq!(d.fs, 1e5);
-        assert_eq!(d.len(), 800);
-        // Power preserved for an in-band tone (away from filter edges).
-        let p: f64 = d.samples[100..700].iter().map(|c| c.norm_sq()).sum::<f64>() / 600.0;
-        assert!((p - 1.0).abs() < 0.05, "power {p}");
-    }
-
-    #[test]
-    fn decimate_suppresses_aliasing_tone() {
-        let fs = 1e6;
-        // 90 kHz tone would alias to 10 kHz after /10 decimation (Nyquist 50 kHz).
-        let s = Signal::tone(fs, 0.0, 90e3, 1.0, 8000);
-        let d = decimate(&s, 10);
-        let p: f64 = d.samples[100..700].iter().map(|c| c.norm_sq()).sum::<f64>() / 600.0;
-        assert!(p < 0.02, "aliased power {p}");
-    }
-
-    #[test]
-    fn decimate_by_one_is_identity() {
-        let s = Signal::tone(1e6, 0.0, 1e3, 1.0, 100);
-        assert_eq!(decimate(&s, 1), s);
-    }
 
     #[test]
     fn decimate_real_averages_blocks() {

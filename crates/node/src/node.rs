@@ -90,6 +90,9 @@ impl BackscatterNode {
     }
 
     /// Builds the channel-facing `Γ(t)` closure from per-port schedules.
+    /// Both throws' Γ are computed once here, and each port's schedule is
+    /// read through a [`SwitchSchedule::cursor`], so a per-sample call is
+    /// two state lookups and two selects.
     pub fn gamma_schedule<'a>(
         &'a self,
         port_a: &'a SwitchSchedule,
@@ -97,12 +100,9 @@ impl BackscatterNode {
     ) -> impl Fn(f64) -> [Cpx; 2] + 'a {
         // Backscatter passes the implementation loss twice (in and out).
         let two_way = self.impl_loss_amp() * self.impl_loss_amp();
-        move |t| {
-            [
-                self.switch.gamma(port_a.state_at(t)) * two_way,
-                self.switch.gamma(port_b.state_at(t)) * two_way,
-            ]
-        }
+        let gammas = self.switch.port_gammas(two_way);
+        let (a, b) = (port_a.cursor(), port_b.cursor());
+        move |t| [gammas.of(a.state_at(t)), gammas.of(b.state_at(t))]
     }
 
     /// The node's receive path for one port: the RF signal at the FSA port

@@ -225,16 +225,28 @@ pub struct NodeInterface<'a> {
 pub struct RayTables {
     /// Envelope delayed by the round-trip time.
     pub(crate) delayed: Vec<Cpx>,
-    /// Per-sample port-A/port-B LUT amplitudes at the instantaneous
-    /// emitted frequency.
-    pub(crate) amp: [Vec<f64>; 2],
-    /// Per-sample mirror LUT amplitude (empty when the scene has no
-    /// mirror model).
-    pub(crate) amp_mirror: Vec<f64>,
+    /// Port-A/port-B and mirror LUT amplitudes.
+    pub(crate) amp: RayAmps,
     /// Round-trip carrier phasor `exp(-j2π·fc·τ_rt)`.
     pub(crate) rt_phase: Cpx,
     /// Mirror `(switch_coupling, depth phasor)` when enabled.
     pub(crate) mirror: Option<(f64, Cpx)>,
+}
+
+/// The LUT amplitudes of a node's rays at the instantaneous emitted
+/// frequency.
+#[derive(Debug, Clone)]
+pub(crate) enum RayAmps {
+    /// A [`FreqProfile::Constant`] tone emits one frequency, so every
+    /// sample reads the same `[A, B]` port and mirror amplitudes (the
+    /// mirror value is unused when the scene has no mirror model).
+    Tone { port: [f64; 2], mirror: f64 },
+    /// A chirp: per-sample `[A, B]` port amplitudes, and per-sample
+    /// mirror amplitudes (empty when the scene has no mirror model).
+    Swept {
+        port: [Vec<f64>; 2],
+        mirror: Vec<f64>,
+    },
 }
 
 /// Hoisted tables for [`Scene::to_node_port`]: the per-sample one-way
@@ -698,22 +710,29 @@ impl Scene {
 
         let mut delayed = Vec::new();
         comp.signal.delayed_into(tau_rt, &mut delayed);
-        let mut amp = [Vec::with_capacity(n), Vec::with_capacity(n)];
-        let mut amp_mirror = Vec::with_capacity(if mirror_lut.is_some() { n } else { 0 });
-        for i in 0..n {
-            let t = i as f64 / fs;
-            let t_emit = (t - tau_rt).max(0.0);
-            let f_inst = comp.profile.freq_at(t_emit);
-            amp[0].push(port_luts[0].get(f_inst));
-            amp[1].push(port_luts[1].get(f_inst));
-            if let Some((lut, _, _)) = &mirror_lut {
-                amp_mirror.push(lut.get(f_inst));
+        let amp = if let FreqProfile::Constant(f) = comp.profile {
+            RayAmps::Tone {
+                port: [port_luts[0].get(f), port_luts[1].get(f)],
+                mirror: mirror_lut.as_ref().map_or(0.0, |(lut, _, _)| lut.get(f)),
             }
-        }
+        } else {
+            let mut port = [Vec::with_capacity(n), Vec::with_capacity(n)];
+            let mut mirror = Vec::with_capacity(if mirror_lut.is_some() { n } else { 0 });
+            for i in 0..n {
+                let t = i as f64 / fs;
+                let t_emit = (t - tau_rt).max(0.0);
+                let f_inst = comp.profile.freq_at(t_emit);
+                port[0].push(port_luts[0].get(f_inst));
+                port[1].push(port_luts[1].get(f_inst));
+                if let Some((lut, _, _)) = &mirror_lut {
+                    mirror.push(lut.get(f_inst));
+                }
+            }
+            RayAmps::Swept { port, mirror }
+        };
         RayTables {
             delayed,
             amp,
-            amp_mirror,
             rt_phase,
             mirror: mirror_lut.map(|(_, coupling, phase)| (coupling, phase)),
         }
@@ -793,17 +812,43 @@ impl Scene {
 /// multiply-adds per sample, no trigonometry, no LUT walks. Both the
 /// cached and the uncached render call it, so they agree bitwise.
 fn accumulate_node(tables: &RayTables, gamma: &GammaSchedule<'_>, fs: f64, acc: &mut [Cpx]) {
+    match &tables.amp {
+        RayAmps::Tone { port, mirror } => replay(tables, gamma, fs, acc, |_| *port, |_| *mirror),
+        RayAmps::Swept { port, mirror } => replay(
+            tables,
+            gamma,
+            fs,
+            acc,
+            |i| [port[0][i], port[1][i]],
+            |i| mirror[i],
+        ),
+    }
+}
+
+/// The per-sample body of [`accumulate_node`], monomorphized per
+/// [`RayAmps`] layout: `port_amp(i)`/`mirror_amp(i)` return sample `i`'s
+/// amplitudes, and the arithmetic is the same for both layouts.
+#[inline(always)]
+fn replay(
+    tables: &RayTables,
+    gamma: &GammaSchedule<'_>,
+    fs: f64,
+    acc: &mut [Cpx],
+    port_amp: impl Fn(usize) -> [f64; 2],
+    mirror_amp: impl Fn(usize) -> f64,
+) {
     for (i, &s) in tables.delayed.iter().enumerate() {
         let t = i as f64 / fs;
         let gammas = gamma(t);
-        let coeff = gammas[0] * tables.amp[0][i] + gammas[1] * tables.amp[1][i];
+        let [amp_a, amp_b] = port_amp(i);
+        let coeff = gammas[0] * amp_a + gammas[1] * amp_b;
         acc[i] += s * coeff * tables.rt_phase;
 
         // --- Mirror (structural) reflection, switch-coupled ----------
         if let Some((coupling, phase)) = tables.mirror {
             // Weak coupling to port A's switch state.
             let state = 2.0 * gammas[0].abs() - 1.0;
-            let amp = tables.amp_mirror[i] * (1.0 + coupling * state);
+            let amp = mirror_amp(i) * (1.0 + coupling * state);
             acc[i] += s * tables.rt_phase * phase * amp;
         }
     }
