@@ -39,13 +39,13 @@ if cargo clippy --version >/dev/null 2>&1; then
         -W clippy::redundant_clone -W clippy::needless_collect \
         -W clippy::needless_range_loop -W clippy::manual_memcpy \
         -W clippy::needless_pass_by_value
-    # Library paths of the protocol/session layers — and the node/RF
-    # substrate they call into — must not unwrap: every fallible outcome
-    # is a typed error or a Degradation report (DESIGN.md §14). --lib
-    # skips #[cfg(test)] modules; --no-deps keeps the lint off the
-    # vendored stubs.
+    # Library paths of the protocol/session layers — and the node/RF/hw
+    # substrate they call into (the Field-1 tap kernels live in hw) —
+    # must not unwrap: every fallible outcome is a typed error or a
+    # Degradation report (DESIGN.md §14). --lib skips #[cfg(test)]
+    # modules; --no-deps keeps the lint off the vendored stubs.
     cargo clippy --release --offline --lib --no-deps \
-        -p milback -p milback-proto -p milback-node -p milback-rf \
+        -p milback -p milback-proto -p milback-node -p milback-rf -p milback-hw \
         -- -D warnings -W clippy::unwrap_used
 else
     echo "==> clippy not installed; skipping lint" >&2

@@ -15,13 +15,15 @@ use milback_dsp::noise::{add_awgn, thermal_noise_power};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_hw::switch::{SwitchSchedule, SwitchState};
-use milback_node::node::BackscatterNode;
+use milback_node::node::{BackscatterNode, PortTaps};
 use milback_node::orientation::NodeOrientationEstimator;
 use milback_rf::channel::{FreqProfile, NodeInterface, Scene, TxComponent};
 use milback_rf::faults::FaultPlan;
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::Pose;
-use milback_rf::workspace::{wave_fingerprint, with_channel_workspace, ChannelWorkspace};
+use milback_rf::workspace::{
+    fsa_fingerprint, pose_bits, wave_fingerprint, with_channel_workspace, ChannelWorkspace,
+};
 use milback_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,6 +96,189 @@ pub fn with_field2_burst<R>(f: impl FnOnce(&mut Field2Burst) -> R) -> R {
     BURST.with(|b| match b.try_borrow_mut() {
         Ok(mut burst) => f(&mut burst),
         Err(_) => f(&mut Field2Burst::default()),
+    })
+}
+
+/// Identity of one port's Field-1 [`PortTaps`]: every input of the port
+/// render and of `BackscatterNode::port_taps_into`. Faults act after the
+/// ADC and noise after the taps, so neither is part of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Field1Key {
+    scene: u64,
+    wave: u64,
+    pose: [u64; 3],
+    fsa: u64,
+    through_gain: u64,
+    impl_loss_db: u64,
+    slope: u64,
+    video_bandwidth: u64,
+    adc_rate: u64,
+}
+
+/// Reusable Field-1 render (DESIGN.md §13.6). Every Field-1 chirp slot
+/// and the orientation chirp put the same noiseless signal on the node's
+/// ports, so this holds the triangular-chirp component with its waveform
+/// fingerprint, a one-entry memo per port of the last pose's clean
+/// detector taps, and the pooled capture buffers. A memo hit renders
+/// nothing; only the detector noise and the ADC run per capture.
+#[derive(Debug)]
+pub struct Field1Render {
+    /// The channel component (TX chirp + frequency profile).
+    comp: TxComponent,
+    /// `wave_fingerprint` of `comp`.
+    wave_fp: u64,
+    /// The chirp config `comp`/`wave_fp` were built for (`None`: not
+    /// built yet).
+    comp_cfg: Option<ChirpConfig>,
+    /// Scratch for the full-rate port signal of a memo miss.
+    at_port: Signal,
+    /// Per port (`[A, B]`): the key of the memoized taps, and the taps.
+    memo: [(Option<Field1Key>, PortTaps); 2],
+    /// Taps of a silent (gap) slot.
+    silent: PortTaps,
+    /// Noisy-tap scratch for [`BackscatterNode::capture_taps_into`].
+    noisy: Vec<f64>,
+    /// ADC captures of ports A and B.
+    caps: [Vec<f64>; 2],
+    /// `signal_mode`'s summed capture of all three slots.
+    pub(crate) combined: Vec<f64>,
+    /// Port renders performed (memo misses) on this render.
+    port_renders: u64,
+}
+
+impl Default for Field1Render {
+    fn default() -> Self {
+        Self {
+            comp: TxComponent::tone(empty_signal(), 0.0),
+            wave_fp: 0,
+            comp_cfg: None,
+            at_port: empty_signal(),
+            memo: Default::default(),
+            silent: PortTaps::default(),
+            noisy: Vec::new(),
+            caps: Default::default(),
+            combined: Vec::new(),
+            port_renders: 0,
+        }
+    }
+}
+
+impl Field1Render {
+    /// Port renders (memo misses) this render has performed.
+    pub fn port_renders(&self) -> u64 {
+        self.port_renders
+    }
+
+    /// The node's capture behind the last `signal_mode` decision on this
+    /// render: both ports summed, three slots back to back, faults
+    /// applied.
+    pub fn mode_capture(&self) -> &[f64] {
+        &self.combined
+    }
+
+    /// Points the render at chirp `cfg`, rebuilding the channel component
+    /// (from the waveform template) and its fingerprint only when the
+    /// config changes.
+    fn set_chirp(&mut self, cfg: ChirpConfig) {
+        if self.comp_cfg == Some(cfg) {
+            return;
+        }
+        self.comp = TxComponent {
+            signal: milback_dsp::template::triangular(&cfg).as_ref().clone(),
+            profile: FreqProfile::Triangular(cfg),
+        };
+        self.wave_fp = wave_fingerprint(&self.comp);
+        self.comp_cfg = Some(cfg);
+    }
+
+    /// Brings the memoized taps of both ports up to date for `scene` and
+    /// `node`, rendering a port signal and its detector video only when
+    /// its key changed. The channel workspace is checked out once per
+    /// port, hit or miss, so the thread-invariant `rf.workspace.reuse`
+    /// count never depends on this thread's memo state.
+    fn update_taps(&mut self, scene: &Scene, node: &BackscatterNode) {
+        let key = Field1Key {
+            scene: scene.static_fingerprint(),
+            wave: self.wave_fp,
+            pose: pose_bits(&node.pose),
+            fsa: fsa_fingerprint(&node.fsa),
+            through_gain: node.switch.through_gain().to_bits(),
+            impl_loss_db: node.impl_loss_db.to_bits(),
+            slope: node.detector.slope.to_bits(),
+            video_bandwidth: node.detector.video_bandwidth.to_bits(),
+            adc_rate: node.adc.sample_rate.to_bits(),
+        };
+        for (port, (memo_key, taps)) in Port::BOTH.into_iter().zip(&mut self.memo) {
+            with_channel_workspace(|cw| {
+                if *memo_key == Some(key) {
+                    return;
+                }
+                let at_port = &mut self.at_port;
+                scene.to_node_port_into(
+                    cw,
+                    &self.comp,
+                    self.wave_fp,
+                    &node.pose,
+                    &node.fsa,
+                    port,
+                    at_port,
+                );
+                node.port_taps_into(at_port, taps);
+                *memo_key = Some(key);
+                self.port_renders += 1;
+            });
+        }
+    }
+
+    /// Captures ports A then B of one Field-1 chirp `cfg` into `caps`,
+    /// noise drawn from `rng` in that order.
+    pub(crate) fn chirp_captures<R: Rng + ?Sized>(
+        &mut self,
+        cfg: ChirpConfig,
+        scene: &Scene,
+        node: &BackscatterNode,
+        rng: &mut R,
+    ) {
+        self.set_chirp(cfg);
+        self.update_taps(scene, node);
+        for ((_, taps), cap) in self.memo.iter().zip(&mut self.caps) {
+            node.capture_taps_into(taps, rng, &mut self.noisy, cap);
+        }
+    }
+
+    /// Captures ports A then B of a silent `len`-sample slot at `fs` into
+    /// `caps`: the clean video is zero, so only the noise is drawn.
+    pub(crate) fn silent_captures<R: Rng + ?Sized>(
+        &mut self,
+        node: &BackscatterNode,
+        len: usize,
+        fs: f64,
+        rng: &mut R,
+    ) {
+        node.silent_taps_into(len, fs, &mut self.silent);
+        for cap in &mut self.caps {
+            node.capture_taps_into(&self.silent, rng, &mut self.noisy, cap);
+        }
+    }
+
+    /// Appends `caps[0] + caps[1]` sample-wise to the mode capture.
+    pub(crate) fn push_combined(&mut self) {
+        let [a, b] = &self.caps;
+        self.combined.extend(a.iter().zip(b).map(|(a, b)| a + b));
+    }
+}
+
+thread_local! {
+    static FIELD1: RefCell<Field1Render> = RefCell::new(Field1Render::default());
+}
+
+/// Runs `f` with this thread's shared [`Field1Render`] (the Field-1
+/// analogue of [`with_field2_burst`]). Re-entrant checkouts fall back to
+/// a fresh temporary render.
+pub fn with_field1_render<R>(f: impl FnOnce(&mut Field1Render) -> R) -> R {
+    FIELD1.with(|r| match r.try_borrow_mut() {
+        Ok(mut render) => f(&mut render),
+        Err(_) => f(&mut Field1Render::default()),
     })
 }
 
@@ -437,41 +622,48 @@ impl Network {
     // Field 1: node-side orientation
     // ------------------------------------------------------------------
 
-    /// Renders the node's ADC captures of one Field-1 triangular chirp at
-    /// both ports (both ports absorptive/listening).
-    pub fn field1_node_captures(&mut self) -> (Vec<f64>, Vec<f64>) {
+    /// The Field-1 triangular chirp at this AP's amplitude (the config
+    /// of every Field-1 chirp: mode slots and orientation alike).
+    pub(crate) fn field1_chirp(&self) -> ChirpConfig {
         let mut cfg = self.fidelity.triangular();
         cfg.amplitude = self.ap.tx.amplitude();
-        let tx = cfg.triangular();
-        let profile = FreqProfile::Triangular(cfg);
-        let comp = TxComponent {
-            signal: tx,
-            profile,
-        };
-        let at_a = self
-            .scene
-            .to_node_port(&comp, &self.node.pose, &self.node.fsa, Port::A);
-        let at_b = self
-            .scene
-            .to_node_port(&comp, &self.node.pose, &self.node.fsa, Port::B);
-        let mut cap_a = self.node.receive_port(&at_a, &mut self.rng);
-        let mut cap_b = self.node.receive_port(&at_b, &mut self.rng);
+        cfg
+    }
+
+    /// Renders the node's ADC captures of one Field-1 triangular chirp at
+    /// both ports (both ports absorptive/listening) into `r.caps`.
+    fn field1_node_captures_in(&mut self, r: &mut Field1Render) {
+        let cfg = self.field1_chirp();
+        r.chirp_captures(cfg, &self.scene, &self.node, &mut self.rng);
         // Node-side impairments act on the detector output (blockage,
         // saturation, droop); no-op when the plan is empty.
         let adc_fs = self.node.adc.sample_rate;
-        self.faults.apply_to_video(self.clock_s, adc_fs, &mut cap_a);
-        self.faults.apply_to_video(self.clock_s, adc_fs, &mut cap_b);
-        (cap_a, cap_b)
+        for cap in &mut r.caps {
+            self.faults.apply_to_video(self.clock_s, adc_fs, cap);
+        }
+    }
+
+    /// Renders the node's ADC captures of one Field-1 triangular chirp at
+    /// both ports (both ports absorptive/listening). The port signals and
+    /// their noiseless detector video are memoized per pose in the
+    /// thread-local [`Field1Render`]; each call draws fresh detector noise.
+    pub fn field1_node_captures(&mut self) -> (Vec<f64>, Vec<f64>) {
+        with_field1_render(|r| {
+            self.field1_node_captures_in(r);
+            (r.caps[0].clone(), r.caps[1].clone())
+        })
     }
 
     /// Runs §5.2(b): the node estimates its own orientation from the
     /// triangular chirp's peak separation.
     pub fn sense_orientation_at_node(&mut self) -> Option<f64> {
-        let (cap_a, cap_b) = self.field1_node_captures();
         let mut est = NodeOrientationEstimator::milback();
         est.chirp = self.fidelity.triangular();
         est.sample_rate = self.node.adc.sample_rate;
-        est.estimate(&self.node.fsa, &cap_a, &cap_b)
+        with_field1_render(|r| {
+            self.field1_node_captures_in(r);
+            est.estimate(&self.node.fsa, &r.caps[0], &r.caps[1])
+        })
     }
 
     /// Convenience for experiments: a fresh sub-RNG seeded from the main

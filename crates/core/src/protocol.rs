@@ -4,14 +4,11 @@
 //! announced.
 
 use crate::link::{DownlinkReport, UplinkReport};
-use crate::network::Network;
+use crate::network::{with_field1_render, Network};
 use milback_ap::ranging::LocalizationResult;
 
 use milback_node::mode_detect::ModeDetector;
-use milback_node::orientation::NodeOrientationEstimator;
-use milback_proto::packet::{LinkMode, Packet};
-use milback_rf::channel::{FreqProfile, TxComponent};
-use milback_rf::fsa::Port;
+use milback_proto::packet::{LinkMode, Packet, PacketConfig, Slot};
 
 /// Everything that happened during one packet exchange.
 #[derive(Debug, Clone)]
@@ -34,58 +31,38 @@ impl Network {
     /// Transmits Field 1 for `mode` and lets the node detect the mode by
     /// counting chirps with its energy detector (paper §7).
     pub fn signal_mode(&mut self, mode: LinkMode) -> Option<LinkMode> {
-        use milback_proto::packet::{PacketConfig, Slot};
-        let pkt = self.fidelity.packet();
-        let mut chirp_cfg = pkt.field1_chirp;
-        chirp_cfg.amplitude = self.ap.tx.amplitude();
-        // Render each Field-1 slot separately so every chirp slot carries
-        // its own triangular frequency profile (slot-local time).
-        let chirp = chirp_cfg.triangular();
-        let comp = TxComponent {
-            signal: chirp,
-            profile: FreqProfile::Triangular(chirp_cfg),
-        };
+        let chirp_cfg = self.field1_chirp();
         let mut rng = self.fork_rng();
-        let mut combined: Vec<f64> = Vec::new();
-        for slot in PacketConfig::field1_slots(mode) {
-            match slot {
-                Slot::Chirp => {
-                    let at_a =
-                        self.scene
-                            .to_node_port(&comp, &self.node.pose, &self.node.fsa, Port::A);
-                    let at_b =
-                        self.scene
-                            .to_node_port(&comp, &self.node.pose, &self.node.fsa, Port::B);
-                    let cap_a = self.node.receive_port(&at_a, &mut rng);
-                    let cap_b = self.node.receive_port(&at_b, &mut rng);
-                    combined.extend(cap_a.iter().zip(&cap_b).map(|(a, b)| a + b));
-                }
-                Slot::Gap => {
+        with_field1_render(|r| {
+            r.combined.clear();
+            for slot in PacketConfig::field1_slots(mode) {
+                match slot {
+                    // Every chirp slot carries the same triangular chirp
+                    // in slot-local time, so the ports' clean taps are
+                    // shared; each slot draws its own detector noise.
+                    Slot::Chirp => r.chirp_captures(chirp_cfg, &self.scene, &self.node, &mut rng),
                     // Silence: the detectors see only their own noise.
-                    let silent = milback_dsp::signal::Signal::zeros(
-                        chirp_cfg.fs,
-                        chirp_cfg.center(),
-                        chirp_cfg.n_samples(),
-                    );
-                    let cap_a = self.node.receive_port(&silent, &mut rng);
-                    let cap_b = self.node.receive_port(&silent, &mut rng);
-                    combined.extend(cap_a.iter().zip(&cap_b).map(|(a, b)| a + b));
+                    Slot::Gap => {
+                        r.silent_captures(&self.node, chirp_cfg.n_samples(), chirp_cfg.fs, &mut rng)
+                    }
                 }
+                r.push_combined();
             }
-        }
-        let det = ModeDetector {
-            slot_duration: pkt.field1_chirp.duration,
-            sample_rate: self.node.adc.sample_rate,
-        };
-        // Scheduled impairments hit the node's detector stream before
-        // the decision (no-op when the fault plan is empty) — a blockage
-        // window over Field 1 erases chirps the counter needed.
-        self.faults
-            .apply_to_video(self.clock_s, self.node.adc.sample_rate, &mut combined);
-        // The node knows its detector noise (it can measure a quiet
-        // window any time); the combined capture sums two ports.
-        let sigma = 2f64.sqrt() * self.node.detector.output_noise_rms();
-        det.detect_with_floor(&combined, 0.0, sigma)
+            let det = ModeDetector {
+                slot_duration: chirp_cfg.duration,
+                sample_rate: self.node.adc.sample_rate,
+            };
+            // Scheduled impairments hit the node's detector stream before
+            // the decision (no-op when the fault plan is empty) — a
+            // blockage window over Field 1 erases chirps the counter
+            // needed.
+            self.faults
+                .apply_to_video(self.clock_s, self.node.adc.sample_rate, &mut r.combined);
+            // The node knows its detector noise (it can measure a quiet
+            // window any time); the combined capture sums two ports.
+            let sigma = 2f64.sqrt() * self.node.detector.output_noise_rms();
+            det.detect_with_floor(&r.combined, 0.0, sigma)
+        })
     }
 
     /// Runs a complete packet exchange:
@@ -100,11 +77,7 @@ impl Network {
         let _span = milback_telemetry::span("core.protocol.packet.ns");
         // --- Field 1 ---------------------------------------------------
         let mode_detected = self.signal_mode(packet.mode);
-        let (cap_a, cap_b) = self.field1_node_captures();
-        let mut est = NodeOrientationEstimator::milback();
-        est.chirp = self.fidelity.triangular();
-        est.sample_rate = self.node.adc.sample_rate;
-        let node_orientation = est.estimate(&self.node.fsa, &cap_a, &cap_b);
+        let node_orientation = self.sense_orientation_at_node();
 
         // --- Field 2 ---------------------------------------------------
         let fix = self.localize();

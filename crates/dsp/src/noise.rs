@@ -24,6 +24,23 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
 }
 
+/// Advances `rng` exactly as `n` calls to [`gaussian`] would, without
+/// computing the variates.
+///
+/// Contract: [`gaussian`] consumes exactly two uniform `f64` draws
+/// (`rng.gen::<f64>()`, each one `next_u64` word for the vendored
+/// `Standard` distribution) and nothing else, so performing the same two
+/// draws and discarding them leaves every RNG in the state `n` gaussians
+/// would — minus the `ln`/`sqrt`/`cos`. Callers that need only some
+/// samples of a noise stream draw those and skip the rest, keeping the
+/// stream position (and every later draw) bitwise unchanged.
+pub fn skip_gaussians<R: Rng + ?Sized>(rng: &mut R, n: usize) {
+    for _ in 0..n {
+        let _: f64 = rng.gen();
+        let _: f64 = rng.gen();
+    }
+}
+
 /// Draws a circularly-symmetric complex Gaussian with total variance
 /// `variance` (i.e. `variance/2` per component).
 pub fn complex_gaussian<R: Rng + ?Sized>(rng: &mut R, variance: f64) -> Cpx {
@@ -100,11 +117,36 @@ pub fn add_real_noise<R: Rng + ?Sized>(samples: &mut [f64], sigma: f64, rng: &mu
     }
 }
 
+/// [`add_real_noise`] over a stream of `len` samples of which only the
+/// strictly increasing indices `at` are kept: `values[j]` is sample
+/// `at[j]`. Adds to each kept sample exactly the noise `add_real_noise`
+/// would, skips the unread draws with [`skip_gaussians`], and leaves the
+/// RNG where `add_real_noise` over all `len` samples would (no draws at
+/// all when `sigma <= 0`).
+pub fn add_real_noise_at<R: Rng + ?Sized>(
+    values: &mut [f64],
+    at: &[usize],
+    len: usize,
+    sigma: f64,
+    rng: &mut R,
+) {
+    if sigma <= 0.0 {
+        return;
+    }
+    let mut next = 0;
+    for (v, &i) in values.iter_mut().zip(at) {
+        skip_gaussians(rng, i - next);
+        *v += gaussian(rng) * sigma;
+        next = i + 1;
+    }
+    skip_gaussians(rng, len - next);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn gaussian_moments() {
@@ -182,6 +224,25 @@ mod tests {
         let a = awgn_signal(1e6, 0.0, 64, 1.0, &mut StdRng::seed_from_u64(7));
         let b = awgn_signal(1e6, 0.0, 64, 1.0, &mut StdRng::seed_from_u64(7));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn noise_at_indices_matches_full_stream() {
+        let len = 500;
+        let at = [0, 1, 7, 8, 9, 250, 498, 499];
+        let clean: Vec<f64> = (0..len).map(|i| i as f64 * 0.25).collect();
+        for sigma in [0.0, 0.3] {
+            let mut full_rng = StdRng::seed_from_u64(6);
+            let mut full = clean.clone();
+            add_real_noise(&mut full, sigma, &mut full_rng);
+            let mut tap_rng = StdRng::seed_from_u64(6);
+            let mut taps: Vec<f64> = at.iter().map(|&i| clean[i]).collect();
+            add_real_noise_at(&mut taps, &at, len, sigma, &mut tap_rng);
+            for (v, &i) in taps.iter().zip(&at) {
+                assert_eq!(v.to_bits(), full[i].to_bits(), "sample {i}");
+            }
+            assert_eq!(tap_rng.next_u64(), full_rng.next_u64(), "rng state");
+        }
     }
 
     #[test]

@@ -4,12 +4,15 @@ use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::fft::{fft, fft_shift, ifft};
 use milback_dsp::filter::{Biquad, Fir, OnePole};
 use milback_dsp::goertzel::goertzel;
+use milback_dsp::noise::{gaussian, skip_gaussians};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_dsp::stats;
 use milback_dsp::window::Window;
 use milback_dsp::xcorr::{correlation_coefficient, xcorr};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 fn arb_signal(max_len: usize) -> impl Strategy<Value = Vec<Cpx>> {
     proptest::collection::vec((-10.0f64..10.0, -10.0f64..10.0), 1..max_len)
@@ -143,6 +146,25 @@ proptest! {
         if let Some((t1, t2)) = cfg.triangular_crossings(f_ghz * 1e9) {
             prop_assert!(t1 <= t2);
             prop_assert!(t1 >= 0.0 && t2 <= cfg.duration);
+        }
+    }
+
+    /// `skip_gaussians(n)` is a drop-in for `n` discarded `gaussian`
+    /// draws: any seed, any `n` (0 included), and the stream continues
+    /// bitwise identically afterwards.
+    #[test]
+    fn skip_gaussians_matches_discarded_draws(n in 0usize..400, seed in any::<u64>()) {
+        for n in [0, n] {
+            let mut drawn = StdRng::seed_from_u64(seed);
+            let mut skipped = drawn.clone();
+            for _ in 0..n {
+                gaussian(&mut drawn);
+            }
+            skip_gaussians(&mut skipped, n);
+            for _ in 0..4 {
+                prop_assert_eq!(drawn.next_u64(), skipped.next_u64());
+            }
+            prop_assert_eq!(gaussian(&mut drawn).to_bits(), gaussian(&mut skipped).to_bits());
         }
     }
 }

@@ -51,6 +51,12 @@ impl Adc {
 
     /// Samples an analog waveform given at rate `fs_in`, producing
     /// quantized samples at the ADC's own rate.
+    ///
+    /// This is the reference definition: output `k` linearly interpolates
+    /// the waveform at `t = k / sample_rate` ([`sample_at`]), so it reads
+    /// at most two analog samples. [`Adc::taps_into`] and
+    /// [`Adc::capture_taps_into`] compute the same codes from just those
+    /// samples.
     pub fn capture(&self, analog: &[f64], fs_in: f64) -> Vec<f64> {
         assert!(fs_in > 0.0, "input rate must be positive");
         if analog.is_empty() {
@@ -61,6 +67,75 @@ impl Adc {
         (0..n)
             .map(|i| self.quantize(sample_at(analog, fs_in, i as f64 / self.sample_rate)))
             .collect()
+    }
+
+    /// Number of samples a capture of `len` analog samples at `fs_in`
+    /// produces (0 for an empty input), as [`Adc::capture`] counts them.
+    fn capture_len(&self, len: usize, fs_in: f64) -> usize {
+        assert!(fs_in > 0.0, "input rate must be positive");
+        if len == 0 {
+            return 0;
+        }
+        let duration = len as f64 / fs_in;
+        (duration * self.sample_rate).floor() as usize
+    }
+
+    /// Analog read position of output `k`: `x = t·fs_in` at
+    /// `t = k / sample_rate`, the expression [`sample_at`] evaluates.
+    fn read_pos(&self, k: usize, fs_in: f64) -> f64 {
+        k as f64 / self.sample_rate * fs_in
+    }
+
+    /// The analog sample indices a capture of `len` samples at `fs_in`
+    /// reads, strictly increasing: `⌊x_k⌋` and `⌊x_k⌋ + 1` for every
+    /// output `k`, minus those at or past `len`. Clears and refills `taps`.
+    pub fn taps_into(&self, len: usize, fs_in: f64, taps: &mut Vec<usize>) {
+        taps.clear();
+        for k in 0..self.capture_len(len, fs_in) {
+            let i = self.read_pos(k, fs_in).floor() as usize;
+            for j in [i, i + 1] {
+                if j < len && taps.last().is_none_or(|&last| last < j) {
+                    taps.push(j);
+                }
+            }
+        }
+    }
+
+    /// [`Adc::capture`] of a `len`-sample waveform at `fs_in` given only
+    /// its values at the read positions: `values[j]` is analog sample
+    /// `taps[j]`, with `taps` from [`Adc::taps_into`] for the same `len`
+    /// and `fs_in`. Same interpolation arithmetic and `i + 1 ≥ len` edge
+    /// as [`sample_at`], so the codes are bitwise those of `capture`.
+    /// Clears and refills `out`.
+    pub fn capture_taps_into(
+        &self,
+        len: usize,
+        fs_in: f64,
+        taps: &[usize],
+        values: &[f64],
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        let mut pos = 0;
+        for k in 0..self.capture_len(len, fs_in) {
+            let x = self.read_pos(k, fs_in);
+            let i = x.floor() as usize;
+            let v = if i + 1 >= len {
+                if i < len {
+                    // The last sample is always a tap.
+                    values[taps.len() - 1]
+                } else {
+                    0.0
+                }
+            } else {
+                while taps[pos] < i {
+                    pos += 1;
+                }
+                let frac = x - i as f64;
+                values[pos] * (1.0 - frac) + values[pos + 1] * frac
+            };
+            out.push(self.quantize(v));
+        }
     }
 }
 
@@ -102,6 +177,57 @@ mod tests {
     fn capture_empty() {
         let adc = Adc::msp430();
         assert!(adc.capture(&[], 1e6).is_empty());
+    }
+
+    /// `taps_into` + `capture_taps_into` over the tap values reproduce
+    /// `capture` of the whole waveform bit for bit.
+    fn assert_tap_capture_matches(adc: &Adc, len: usize, fs_in: f64) {
+        let analog: Vec<f64> = (0..len)
+            .map(|i| (i as f64 * 0.37).sin().abs() * 1.3 + 1e-3 * i as f64)
+            .collect();
+        let expect = adc.capture(&analog, fs_in);
+        let mut taps = Vec::new();
+        adc.taps_into(len, fs_in, &mut taps);
+        assert!(taps.windows(2).all(|w| w[0] < w[1]), "taps not increasing");
+        assert!(taps.iter().all(|&i| i < len), "tap past the end");
+        let values: Vec<f64> = taps.iter().map(|&i| analog[i]).collect();
+        let mut got = vec![9.0; 3];
+        adc.capture_taps_into(len, fs_in, &taps, &values, &mut got);
+        assert_eq!(got.len(), expect.len(), "len {len} at {fs_in}");
+        for (k, (g, e)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(g.to_bits(), e.to_bits(), "sample {k}, len {len} at {fs_in}");
+        }
+    }
+
+    #[test]
+    fn tap_capture_matches_full_capture_bitwise() {
+        let adc = Adc::msp430();
+        // Empty and single-sample inputs (the latter reads nothing at
+        // 1 MHz unless the input rate is at most the ADC rate).
+        for fs_in in [1e6, 3.2e9] {
+            assert_tap_capture_matches(&adc, 0, fs_in);
+            assert_tap_capture_matches(&adc, 1, fs_in);
+        }
+        // Input at the ADC rate: the last output reads sample len−1 alone
+        // (the `i + 1 ≥ len` edge).
+        let mut taps = Vec::new();
+        adc.taps_into(5, 1e6, &mut taps);
+        assert_eq!(taps, vec![0, 1, 2, 3, 4]);
+        assert_tap_capture_matches(&adc, 5, 1e6);
+        // Field-1 rates: the Fast preset's 3.2 GS/s and the Paper
+        // preset's 4 GS/s over one 45 µs chirp, plus a ragged tail.
+        for fs_in in [3.2e9f64, 4e9] {
+            let n = (45e-6 * fs_in).round() as usize;
+            assert_tap_capture_matches(&adc, n, fs_in);
+            assert_tap_capture_matches(&adc, n + 1234, fs_in);
+        }
+        // Non-integer rate ratios, including reads that share a sample
+        // with the previous output's right neighbour.
+        for fs_in in [2.7e6, 1.5e6, 3.3333e9, 999_999.0] {
+            for len in [2, 3, 17, 4000] {
+                assert_tap_capture_matches(&adc, len, fs_in);
+            }
+        }
     }
 
     #[test]

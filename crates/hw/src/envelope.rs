@@ -89,6 +89,37 @@ impl EnvelopeDetector {
         add_real_noise(out, self.output_noise_rms(), rng);
     }
 
+    /// Noiseless video of `input` scaled by the real amplitude `gain`,
+    /// kept only at the strictly increasing sample indices `taps` (all
+    /// `< input.len()`): `out[j]` is the [`EnvelopeDetector::detect_clean`]
+    /// output at sample `taps[j]` of `input` after [`Signal::scale`]`(gain)`.
+    ///
+    /// The video filter still steps every sample up to the last tap with
+    /// the same expression, `step(slope · |x·gain|)` (a `hypot` of the
+    /// scaled components), so each kept value is bitwise the full-rate
+    /// one; only the stores of unread samples and the work past the last
+    /// tap are skipped. Clears and refills `out`.
+    pub fn detect_clean_taps_into(
+        &self,
+        input: &Signal,
+        gain: f64,
+        taps: &[usize],
+        out: &mut Vec<f64>,
+    ) {
+        let mut lp = OnePole::new(self.video_bandwidth, input.fs);
+        out.clear();
+        let mut samples = input.samples.iter();
+        let mut next = 0;
+        for &tap in taps {
+            let mut v = 0.0;
+            for c in samples.by_ref().take(tap + 1 - next) {
+                v = lp.step(self.slope * (*c * gain).abs());
+            }
+            next = tap + 1;
+            out.push(v);
+        }
+    }
+
     /// Detects without noise (for calibration / unit tests).
     pub fn detect_clean(&self, input: &Signal) -> Vec<f64> {
         let mut lp = OnePole::new(self.video_bandwidth, input.fs);
@@ -138,6 +169,28 @@ mod tests {
             out[1999],
             expected
         );
+    }
+
+    #[test]
+    fn clean_taps_match_scaled_full_rate_video_bitwise() {
+        let det = EnvelopeDetector::adl6010();
+        let sig = Signal::tone(3.2e9, 28e9, 7e6, 3e-3, 5000);
+        let gain = 0.423_7;
+        let mut scaled = sig.clone();
+        scaled.scale(gain);
+        let full = det.detect_clean(&scaled);
+        for taps in [
+            vec![],
+            vec![0],
+            vec![0, 1, 2],
+            vec![10, 11, 3200, 3201, 4999],
+        ] {
+            let mut out = vec![1.0; 7];
+            det.detect_clean_taps_into(&sig, gain, &taps, &mut out);
+            let expect: Vec<u64> = taps.iter().map(|&i| full[i].to_bits()).collect();
+            let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expect, "taps {taps:?}");
+        }
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! * a reflection-coefficient schedule `Γ(t)` for the channel, derived
 //!   from per-port [`SwitchSchedule`]s, and
 //! * the receive path: FSA port → switch through-loss → envelope
-//!   detector → ADC.
+//!   detector → ADC, computed only at the analog samples the ADC reads
+//!   ([`PortTaps`]).
 
+use milback_dsp::noise::add_real_noise_at;
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_hw::adc::Adc;
@@ -23,6 +25,26 @@ use milback_hw::switch::{SpdtSwitch, SwitchSchedule, SwitchState};
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::Pose;
 use rand::Rng;
+
+/// The noiseless detector video of one FSA port at the analog samples the
+/// MCU ADC reads: everything [`BackscatterNode::receive_port`] computes
+/// before the detector-noise draw. The port signal's other samples only
+/// advance the video filter and the noise stream, so a pose's taps can be
+/// rendered once and captured under fresh noise any number of times
+/// ([`BackscatterNode::capture_taps_into`]). Pooled: the render methods
+/// clear and refill it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PortTaps {
+    /// Length of the port signal, samples.
+    len: usize,
+    /// Its sample rate, Hz.
+    fs: f64,
+    /// The analog sample indices the ADC reads, strictly increasing
+    /// ([`Adc::taps_into`]).
+    idx: Vec<usize>,
+    /// Noiseless detector video at `idx`.
+    video: Vec<f64>,
+}
 
 /// A complete MilBack backscatter node.
 #[derive(Debug, Clone)]
@@ -105,15 +127,72 @@ impl BackscatterNode {
         move |t| [gammas.of(a.state_at(t)), gammas.of(b.state_at(t))]
     }
 
+    /// Amplitude factor from the FSA port to the detector input: the
+    /// switch's absorptive through-loss and the one-way implementation
+    /// loss.
+    fn rx_gain(&self) -> f64 {
+        self.switch.through_gain().sqrt() * self.impl_loss_amp()
+    }
+
     /// The node's receive path for one port: the RF signal at the FSA port
     /// (as produced by `Scene::to_node_port`) through the switch's
     /// absorptive through-loss and the envelope detector, sampled by the
     /// MCU ADC. Returns ADC samples (volts at `adc.sample_rate`).
+    ///
+    /// Computes only what the ADC reads ([`Self::port_taps_into`] then
+    /// [`Self::capture_taps_into`]); the codes and the RNG state after
+    /// the call are bitwise those of detecting, noising and capturing
+    /// every sample (DESIGN.md §13.6).
     pub fn receive_port<R: Rng + ?Sized>(&self, at_port: &Signal, rng: &mut R) -> Vec<f64> {
-        let mut sig = at_port.clone();
-        sig.scale(self.switch.through_gain().sqrt() * self.impl_loss_amp());
-        let video = self.detector.detect(&sig, rng);
-        self.adc.capture(&video, at_port.fs)
+        let mut taps = PortTaps::default();
+        self.port_taps_into(at_port, &mut taps);
+        let mut out = Vec::new();
+        self.capture_taps_into(&taps, rng, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// The noiseless half of [`Self::receive_port`]: renders the
+    /// detector video of `at_port` at the ADC's read positions into
+    /// `taps`. Deterministic in the port signal and the node's switch,
+    /// implementation loss, detector slope and video bandwidth and ADC
+    /// rate.
+    pub fn port_taps_into(&self, at_port: &Signal, taps: &mut PortTaps) {
+        taps.len = at_port.len();
+        taps.fs = at_port.fs;
+        self.adc.taps_into(taps.len, taps.fs, &mut taps.idx);
+        self.detector
+            .detect_clean_taps_into(at_port, self.rx_gain(), &taps.idx, &mut taps.video);
+    }
+
+    /// [`Self::port_taps_into`] for a silent port of `len` zero samples
+    /// at `fs` without stepping the filter: the video filter starts at
+    /// zero and a zero sample at a finite gain steps it by exactly zero,
+    /// so every tap is `0.0`.
+    pub fn silent_taps_into(&self, len: usize, fs: f64, taps: &mut PortTaps) {
+        taps.len = len;
+        taps.fs = fs;
+        self.adc.taps_into(len, fs, &mut taps.idx);
+        taps.video.clear();
+        taps.video.resize(taps.idx.len(), 0.0);
+    }
+
+    /// The noisy half of [`Self::receive_port`]: adds the detector's
+    /// output noise at the taps — drawing the full-rate stream's variates
+    /// there and skipping the rest — and samples the result with the ADC
+    /// into `out`. `noisy` is scratch; both buffers reuse their capacity.
+    pub fn capture_taps_into<R: Rng + ?Sized>(
+        &self,
+        taps: &PortTaps,
+        rng: &mut R,
+        noisy: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
+        noisy.clear();
+        noisy.extend_from_slice(&taps.video);
+        let sigma = self.detector.output_noise_rms();
+        add_real_noise_at(noisy, &taps.idx, taps.len, sigma, rng);
+        self.adc
+            .capture_taps_into(taps.len, taps.fs, &taps.idx, noisy, out);
     }
 
     /// Like [`Self::receive_port`] but keeps the detector's full video
@@ -142,7 +221,7 @@ impl BackscatterNode {
         out: &mut Vec<f64>,
     ) {
         rf_scratch.copy_from(at_port);
-        rf_scratch.scale(self.switch.through_gain().sqrt() * self.impl_loss_amp());
+        rf_scratch.scale(self.rx_gain());
         self.detector.detect_into(rf_scratch, rng, out);
     }
 

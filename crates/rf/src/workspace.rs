@@ -122,8 +122,9 @@ pub fn fsa_fingerprint(fsa: &DualPortFsa) -> u64 {
     h.finish()
 }
 
+/// Bit patterns of a pose (position and facing), for exact cache keys.
 #[inline]
-pub(crate) fn pose_bits(pose: &Pose) -> [u64; 3] {
+pub fn pose_bits(pose: &Pose) -> [u64; 3] {
     [
         pose.position.x.to_bits(),
         pose.position.y.to_bits(),

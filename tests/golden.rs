@@ -4,13 +4,18 @@
 //! paths with each other, so an arithmetic drift that both share would
 //! pass them. This file pins literal values instead: the uplink SNR
 //! bits, raw bit errors and decoded bytes of `Network::uplink` at three
-//! poses and three symbol rates, plus one Field-2 localization fix.
+//! poses and three symbol rates, one Field-2 localization fix, and the
+//! Field-1 node captures and mode decisions with the RNG stream position
+//! after each.
 //! Hot-loop optimizations of the render and demodulation paths must
 //! keep every one of these bitwise (DESIGN.md §13.5); a deliberate model
 //! change re-records them and says why in CHANGES.md.
 
 use milback::{Fidelity, Network};
+use milback_proto::packet::LinkMode;
+use milback_rf::faults::FaultPlan;
 use milback_rf::geometry::{deg_to_rad, Pose};
+use rand::RngCore;
 
 const PAYLOAD: &[u8; 8] = b"golden!!";
 
@@ -71,4 +76,92 @@ fn localize_fix_matches_golden_bits() {
         "peak {}",
         fix.peak_power
     );
+}
+
+/// One Field-1 golden case: `(pose index, network seed, chaos seed,
+/// uplink decision, next_u64 after it, downlink decision, next_u64 after
+/// it, capture fold, next_u64 after the captures)`. The chaos case runs
+/// under `FaultPlan::chaos(seed, 1.0, 150 µs)`, whose blockages and
+/// droop land inside Field 1.
+type Field1Golden = (
+    usize,
+    u64,
+    Option<u64>,
+    Option<LinkMode>,
+    u64,
+    Option<LinkMode>,
+    u64,
+    u64,
+    u64,
+);
+
+const FIELD1_GOLDEN: [Field1Golden; 3] = [
+    (
+        0,
+        11,
+        None,
+        Some(LinkMode::Uplink),
+        0xce74a193b8e6ac95,
+        Some(LinkMode::Downlink),
+        0x9a6c78b8852dc00d,
+        0x2cd503681815bb6e,
+        0x37bb904043b8b384,
+    ),
+    (
+        1,
+        12,
+        Some(3),
+        Some(LinkMode::Uplink),
+        0xe199463ab7beaaec,
+        None,
+        0x42819ba95da26e3a,
+        0xa8b0065d1811049a,
+        0xe526d5d4de473f8d,
+    ),
+    (
+        2,
+        13,
+        None,
+        Some(LinkMode::Uplink),
+        0x18a2186e157ab8f5,
+        None,
+        0xf2d1177a6481806a,
+        0x7029ed0a10a8dddb,
+        0xf9cd46db3c3aa1ee,
+    ),
+];
+
+/// Order-sensitive fold of every sample's bit pattern.
+fn fold_bits(h: u64, v: &[f64]) -> u64 {
+    v.iter().fold(h, |h, x| {
+        let h = (h ^ x.to_bits()).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 29)
+    })
+}
+
+#[test]
+fn field1_captures_and_modes_match_golden_bits() {
+    for (p, seed, chaos, up, r_up, down, r_down, caps, r_caps) in FIELD1_GOLDEN {
+        let mut net = Network::new(pose(p), Fidelity::Fast, seed);
+        if let Some(chaos_seed) = chaos {
+            net.faults = FaultPlan::chaos(chaos_seed, 1.0, 150e-6);
+        }
+        let ctx = format!("pose {p}, seed {seed}, chaos {chaos:?}");
+        assert_eq!(net.signal_mode(LinkMode::Uplink), up, "{ctx}");
+        assert_eq!(net.rng().next_u64(), r_up, "{ctx}: rng after uplink mode");
+        assert_eq!(net.signal_mode(LinkMode::Downlink), down, "{ctx}");
+        assert_eq!(
+            net.rng().next_u64(),
+            r_down,
+            "{ctx}: rng after downlink mode"
+        );
+        let (a, b) = net.field1_node_captures();
+        assert_eq!((a.len(), b.len()), (45, 45), "{ctx}");
+        assert_eq!(
+            fold_bits(fold_bits(0xcbf2_9ce4_8422_2325, &a), &b),
+            caps,
+            "{ctx}: capture bits"
+        );
+        assert_eq!(net.rng().next_u64(), r_caps, "{ctx}: rng after captures");
+    }
 }

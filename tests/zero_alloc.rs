@@ -12,6 +12,9 @@
 //!   warmed `ChannelWorkspace` + `Field2Burst` — channel synthesis
 //!   included (static-scene response cache + hoisted ray tables,
 //!   DESIGN.md §13), not just the processing half,
+//! * Field 1 (DESIGN.md §13.6): a warmed `signal_mode` through the
+//!   pooled thread-local Field-1 render, and `sense_orientation_at_node`
+//!   pinned at its estimator's per-call count,
 //! * the serving loop (DESIGN.md §15): a whole seeded epoch of
 //!   `Localize` sessions through the pooled serving engine — admission,
 //!   chains, steal dispatch, scratch checkout, resolutions, report.
@@ -24,7 +27,7 @@ use milback_ap::waveform::{self, TxConfig};
 use milback_ap::workspace::DspWorkspace;
 use milback_dsp::signal::Signal;
 use milback_dsp::template;
-use milback_proto::packet::PacketConfig;
+use milback_proto::packet::{LinkMode, PacketConfig};
 use milback_rf::geometry::{deg_to_rad, Pose};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,11 +193,11 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
     // The mixed workload exercises `Downlink` and `Uplink` sessions
     // through the same pooled lanes. The link layer proper (captures,
     // modulator schedules, uplink demod scratch, ARQ state) is pooled;
-    // the measured steady-state remainder per exchange session lives in
-    // the Field-1 mode-signalling / orientation-sensing chain (fresh
-    // video and smoothing buffers per chirp) plus the decoded payload
-    // handed back in each report. Pinned per exchange so it can only
-    // shrink.
+    // so is the Field-1 render (see the Field-1 leg below). The measured
+    // steady-state remainder per exchange session lives outside those
+    // pools: the node orientation estimator's buffers, per-session
+    // bookkeeping and the decoded payload handed back in each report.
+    // Pinned per exchange so it can only shrink.
     let mixed = TrafficConfig {
         nodes: 3,
         sessions: 12,
@@ -226,13 +229,42 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
     let mixed_steady = mixed_engine.serve_schedule(&mixed_schedule, 1);
     let per_exchange = (allocs() - before) / exchanges;
     assert!(
-        per_exchange <= 95,
+        per_exchange <= 48,
         "warmed mixed serving loop allocated {per_exchange}/exchange \
-         (mode/orientation sensing chain + decoded payload expected)"
+         (orientation estimator, bookkeeping and decoded payload expected)"
     );
     assert_eq!(
         mixed_steady.outcome_digest, mixed_warm.outcome_digest,
         "mixed serving epochs diverged"
+    );
+
+    // ---- Field 1: mode signalling + node orientation ------------------
+    // The thread-local Field-1 render pools the port taps, captures and
+    // the summed mode capture (DESIGN.md §13.6), so a warmed
+    // `signal_mode` allocates nothing. `sense_orientation_at_node`'s
+    // remaining acquisitions are the orientation estimator's per-port
+    // smoothing, sort and peak buffers. Pinned so it can only shrink.
+    let pose = Pose::facing_ap(2.5, 0.0, deg_to_rad(12.0));
+    let mut f1_net = Network::new(pose, Fidelity::Fast, 0xF1);
+    for _ in 0..2 {
+        assert!(f1_net.signal_mode(LinkMode::Uplink).is_some());
+        assert!(f1_net.sense_orientation_at_node().is_some());
+    }
+    let reps = 3u64;
+    let (mut mode_allocs, mut orient_allocs) = (0, 0);
+    for _ in 0..reps {
+        let before = allocs();
+        assert_eq!(f1_net.signal_mode(LinkMode::Uplink), Some(LinkMode::Uplink));
+        mode_allocs += allocs() - before;
+        let before = allocs();
+        assert!(f1_net.sense_orientation_at_node().is_some());
+        orient_allocs += allocs() - before;
+    }
+    assert_eq!(mode_allocs, 0, "warmed signal_mode allocated on the heap");
+    assert!(
+        orient_allocs / reps <= 8,
+        "warmed node orientation allocated {}/call (estimator buffers expected)",
+        orient_allocs / reps
     );
 
     // ---- dense-network fabric round (DESIGN.md §16) ------------------
