@@ -76,12 +76,14 @@ echo "==> kernel perf gate (burst + range FFT vs committed baseline)"
 # Comparisons are calibration-normalized (DESIGN.md §17.4) so shared-
 # host load cannot trip the gate, with bounded re-measures on a miss.
 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --kernels-only --check-against BENCH_6.json
+    --legs kernels --check-against BENCH_6.json
 
 # Determinism smokes: each leg runs twice and the two deterministic-view
-# files must compare equal with cmp. Fields per leg: name, view-file
-# extension, MILBACK_THREADS of run 1 and of run 2 ("-" = unset), then
-# the bench_engine leg flags (the view path is appended after them).
+# files must compare equal with cmp. Fields per leg: bench_engine leg
+# name, view-file extension, MILBACK_THREADS of run 1 and of run 2
+# ("-" = unset). The chaos, serve and net legs capture their telemetry
+# in scopes of their own and assert that the serial view is not empty,
+# so no MILBACK_TELEMETRY is needed for the views to mean something.
 #
 # chaos (DESIGN.md §14): supervised sessions under sampled fault plans,
 #   serial and parallel inside one process; two back-to-back runs pin
@@ -97,22 +99,21 @@ cargo run --release --offline -p milback-bench --bin bench_engine -- \
 #   §14 stressor fixed and closed-loop on paired seeds, at 1 and at 4
 #   workers (in-process it already asserts 1-thread == N-thread).
 DETERMINISM_LEGS=(
-    "chaos json - - --chaos-only --chaos-view"
-    "serve json 1 4 --serve --serve-only --serve-view"
-    "net json 1 4 --net --net-only --net-view"
-    "adaptive txt 1 4 --adaptive-only --adaptive-view"
+    "chaos json - -"
+    "serve json 1 4"
+    "net json 1 4"
+    "adaptive txt 1 4"
 )
 for spec in "${DETERMINISM_LEGS[@]}"; do
-    read -r leg ext threads_1 threads_2 flags <<<"$spec"
+    read -r leg ext threads_1 threads_2 <<<"$spec"
     echo "==> $leg smoke (cross-process determinism)"
     run=1
     for threads in "$threads_1" "$threads_2"; do
         thread_env=()
         [ "$threads" != - ] && thread_env=(MILBACK_THREADS="$threads")
-        # shellcheck disable=SC2086 # $flags is a word list on purpose
-        env MILBACK_TELEMETRY=1 "${thread_env[@]}" \
+        env "${thread_env[@]}" \
             cargo run --release --offline -p milback-bench --bin bench_engine -- \
-            --smoke $flags "target/${leg}_view_$run.$ext" >/dev/null
+            --smoke --legs "$leg" --view "target/${leg}_view_$run.$ext" >/dev/null
         run=$((run + 1))
     done
     cmp "target/${leg}_view_1.$ext" "target/${leg}_view_2.$ext"

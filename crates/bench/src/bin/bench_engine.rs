@@ -47,41 +47,21 @@
 //! timings are then only indicative).
 //!
 //! Telemetry: with `MILBACK_TELEMETRY=1` (see README §Observability), the
-//! registry is reset after warm-up and the end-of-run snapshot is
+//! default registry is reset after warm-up and the end-of-run snapshot is
 //! embedded under the `"telemetry"` key of the output JSON — per-stage
 //! counters and histograms from `dsp` (plan cache, workspace reuse), `ap`
 //! (localization), `node`/`proto` (demod, CRC), and `core` (batch, link).
 //! Without the variable the key is `null` and the instrumented code paths
 //! take their no-op branches.
 //!
-//! Usage: `cargo run --release -p milback-bench --bin bench_engine
-//! [-- --smoke] [-- --out path.json] [-- --chaos-only]
-//! [-- --chaos-view path.json] [-- --serve] [-- --serve-only]
-//! [-- --serve-view path.json]`.
-//!
-//! The chaos leg runs supervised sessions under sampled fault plans
-//! (DESIGN.md §14) serially and in parallel, asserting identical
-//! per-trial outcomes and byte-identical telemetry deterministic views.
-//! `--chaos-only` runs just that leg (the CI determinism check);
-//! `--chaos-view <path>` writes the serial run's deterministic-view
-//! JSON so two invocations can be compared byte-for-byte.
-//!
-//! The serve leg mirrors that for the serving engine: `--serve` is an
-//! explicit opt-in marker (the leg runs in every full invocation),
-//! `--serve-only` runs just the serving soak, and `--serve-view <path>`
-//! writes its serial deterministic view for cross-process, cross-
-//! thread-count comparison (ci.sh runs it at `MILBACK_THREADS=1` and
-//! `=4` and `cmp`s the files).
-//!
-//! The net leg (DESIGN.md §16) sweeps the dense-network fabric across
-//! node densities — two APs, slotted polling rounds with drift,
-//! handoffs and parked-neighbor interference — serially and in
-//! parallel, asserting per-density digest equality and byte-identical
-//! deterministic telemetry views, then reporting sessions/sec and
-//! aggregate goodput per density. `--net` is the opt-in marker (the leg
-//! runs in every full invocation), `--net-only` runs just the density
-//! sweep, and `--net-view <path>` writes a deterministic per-density
-//! table plus the telemetry view for cross-process comparison.
+//! Usage: `cargo run --release -p milback-bench --bin bench_engine --
+//! [--smoke] [--out PATH] [--legs LEG,...] [--view PATH]
+//! [--check-against BASELINE.json]`. With no `--legs` the full run runs
+//! the chaos, serve, net and adaptive legs, then its measured region, and
+//! writes the report. `--legs` runs only the named legs (`chaos`,
+//! `serve`, `net`, `adaptive`, `kernels`) and writes no report; `--view` writes the one selected leg's deterministic
+//! view, so two invocations (at any `MILBACK_THREADS`) can be `cmp`ed.
+//! Unknown flags and leg names exit 2.
 
 use milback::adaptation::{adaptive_sweep_with_threads, AdaptiveComparison};
 use milback::batch;
@@ -161,6 +141,8 @@ fn link_trial(t: batch::Trial) -> u64 {
         + ul.map(|r| r.bit_errors as u64).unwrap_or(u64::MAX / 2)
 }
 
+/// A finite float as 6-decimal JSON, `null` otherwise (bare `inf` is not
+/// valid JSON).
 fn json_f(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
@@ -169,42 +151,72 @@ fn json_f(v: f64) -> String {
     }
 }
 
+/// Options every leg runs with.
+struct Opts {
+    smoke: bool,
+    /// Worker count of each leg's parallel run.
+    threads: usize,
+    /// Where the one selected leg writes its deterministic view.
+    view: Option<String>,
+    /// Baseline `BENCH_N.json` for the kernel regression gate.
+    check_against: Option<String>,
+}
+
+/// Runs `run(1)` and `run(threads)`, each in its own telemetry capture
+/// (recording regardless of `MILBACK_TELEMETRY`, and never another run's
+/// metrics). Asserts that the serial deterministic view
+/// holds `core.` and `ap.` counters — an empty view would compare equal
+/// vacuously — and that the two views are byte-identical. Returns both
+/// results and the serial view's JSON.
+fn serial_vs_parallel<R>(leg: &str, threads: usize, run: impl Fn(usize) -> R) -> (R, R, String) {
+    let (serial, serial_snap) = telemetry::capture(|| run(1));
+    let (parallel, parallel_snap) = telemetry::capture(|| run(threads));
+    let serial_view = serial_snap.deterministic_view();
+    for layer in ["core.", "ap."] {
+        assert!(
+            serial_view.counters.keys().any(|k| k.starts_with(layer)),
+            "{leg} serial view has no `{layer}` counters"
+        );
+    }
+    let serial_view = serial_view.to_json(2);
+    assert_eq!(
+        serial_view,
+        parallel_snap.deterministic_view().to_json(2),
+        "{leg} telemetry deterministic views diverged"
+    );
+    (serial, parallel, serial_view)
+}
+
+/// Writes a leg's deterministic view to `--view`'s path, if given, so
+/// two invocations can be compared byte for byte.
+fn write_view(leg: &str, opts: &Opts, view: &str) {
+    if let Some(path) = opts.view.as_deref() {
+        std::fs::write(path, view).expect("failed to write the deterministic view");
+        println!("{leg} leg: wrote deterministic view to {path}");
+    }
+}
+
 /// The chaos leg (DESIGN.md §14): a small chaos sweep run serially and
 /// in parallel. Asserts per-trial outcome equality and byte-identical
-/// telemetry deterministic views, optionally writing the serial view to
-/// `view_path` for cross-process comparison. Returns the JSON fragment
-/// for the report. Resets telemetry; callers run it outside their own
-/// measured region.
-fn chaos_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
+/// telemetry deterministic views; its view is the serial telemetry view.
+/// Returns the JSON fragment for the report.
+fn chaos_leg(opts: &Opts) -> String {
+    let (smoke, threads) = (opts.smoke, opts.threads);
     let points = default_points();
     let trials = if smoke { 3 } else { 12 };
     let seed = 0xC4A0_5EED;
 
-    telemetry::reset();
-    let t0 = Instant::now();
-    let serial = chaos_sweep_with_threads(&points, trials, seed, 1);
-    let serial_s = t0.elapsed().as_secs_f64();
-    let serial_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::reset();
-    let t0 = Instant::now();
-    let parallel = chaos_sweep_with_threads(&points, trials, seed, threads);
-    let parallel_s = t0.elapsed().as_secs_f64();
-    let parallel_view = telemetry::snapshot().deterministic_view().to_json(2);
-
+    let ((serial, serial_s), (parallel, parallel_s), view) =
+        serial_vs_parallel("chaos", threads, |threads| {
+            let t0 = Instant::now();
+            let outcomes = chaos_sweep_with_threads(&points, trials, seed, threads);
+            (outcomes, t0.elapsed().as_secs_f64())
+        });
     assert_eq!(
         serial, parallel,
         "chaos sweep lost determinism across thread counts"
     );
-    assert_eq!(
-        serial_view, parallel_view,
-        "chaos telemetry deterministic views diverged"
-    );
-
-    if let Some(path) = view_path {
-        std::fs::write(path, &serial_view).expect("failed to write chaos deterministic view");
-        println!("chaos leg: wrote deterministic view to {path}");
-    }
+    write_view("chaos", opts, &view);
 
     let flat: Vec<_> = serial.iter().flatten().collect();
     let delivered = flat.iter().filter(|o| o.delivered).count();
@@ -232,13 +244,12 @@ fn chaos_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
 /// shedding policy engages — served by the work-stealing pool serially
 /// and at `threads` workers. Asserts identical resolution sequences,
 /// identical outcome digests and byte-identical deterministic telemetry
-/// views, optionally writing the serial view to `view_path` for
-/// cross-process comparison, then reports p50/p99 session latency and
-/// sessions/sec from the parallel epoch. A second, localize-only soak
-/// measures steady-state heap allocations on a repeat epoch (expected:
-/// zero). Returns the JSON fragment for the report. Resets telemetry;
-/// callers run it outside their own measured region.
-fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
+/// views (its view is the serial telemetry view), then reports p50/p99
+/// session latency and sessions/sec from the parallel epoch. A second,
+/// localize-only soak measures steady-state heap allocations on a repeat
+/// epoch (expected: zero). Returns the JSON fragment for the report.
+fn serve_leg(opts: &Opts) -> String {
+    let (smoke, threads) = (opts.smoke, opts.threads);
     let traffic = TrafficConfig {
         nodes: 4,
         sessions: if smoke { 24 } else { 160 },
@@ -251,16 +262,12 @@ fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     let poses = roster(traffic.nodes, seed);
     let cfg = ServeConfig::milback();
 
-    telemetry::reset();
-    let mut serial_engine = ServeEngine::new(&poses, cfg);
-    let serial = serial_engine.serve_schedule(&schedule, 1);
-    let serial_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::reset();
-    let mut parallel_engine = ServeEngine::new(&poses, cfg);
-    let parallel = parallel_engine.serve_schedule(&schedule, threads);
-    let parallel_view = telemetry::snapshot().deterministic_view().to_json(2);
-
+    let ((serial_engine, serial), (parallel_engine, parallel), view) =
+        serial_vs_parallel("serve", threads, |threads| {
+            let mut engine = ServeEngine::new(&poses, cfg);
+            let report = engine.serve_schedule(&schedule, threads);
+            (engine, report)
+        });
     assert_eq!(
         serial_engine.resolutions(),
         parallel_engine.resolutions(),
@@ -270,15 +277,7 @@ fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
         serial.outcome_digest, parallel.outcome_digest,
         "serving soak outcome digests diverged"
     );
-    assert_eq!(
-        serial_view, parallel_view,
-        "serving telemetry deterministic views diverged"
-    );
-
-    if let Some(path) = view_path {
-        std::fs::write(path, &serial_view).expect("failed to write serve deterministic view");
-        println!("serve leg: wrote deterministic view to {path}");
-    }
+    write_view("serve", opts, &view);
 
     println!(
         "serve leg: {} sessions, {} nodes, {:.0} Hz offered (load past capacity)",
@@ -358,11 +357,11 @@ fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
 /// serially and at `threads` workers. Asserts that every deterministic
 /// per-density field (digest, delivery counts, goodput) is identical
 /// across thread counts and that the telemetry deterministic views are
-/// byte-identical, optionally writing a deterministic per-density table
-/// plus the view to `view_path` for cross-process comparison. Reports
-/// sessions/sec and aggregate goodput per density. Resets telemetry;
-/// callers run it outside their own measured region.
-fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
+/// byte-identical; its view is a deterministic per-density table plus
+/// the serial telemetry view. Reports sessions/sec and aggregate goodput
+/// per density.
+fn net_leg(opts: &Opts) -> String {
+    let (smoke, threads) = (opts.smoke, opts.threads);
     let densities: &[usize] = if smoke { &[4, 8, 16] } else { &[10, 100, 1000] };
     let (n_aps, spacing_m, rounds) = (2, 4.0, 2);
     let cfg = NetConfig {
@@ -371,14 +370,9 @@ fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     };
     let seed = 0xDE4E_5EED;
 
-    telemetry::reset();
-    let serial = density_sweep(densities, n_aps, spacing_m, rounds, cfg, seed, 1);
-    let serial_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::reset();
-    let parallel = density_sweep(densities, n_aps, spacing_m, rounds, cfg, seed, threads);
-    let parallel_view = telemetry::snapshot().deterministic_view().to_json(2);
-
+    let (serial, parallel, serial_view) = serial_vs_parallel("net", threads, |threads| {
+        density_sweep(densities, n_aps, spacing_m, rounds, cfg, seed, threads)
+    });
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.digest, p.digest, "density {} digest diverged", s.nodes);
         assert_eq!(s.completed, p.completed);
@@ -389,38 +383,31 @@ fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
         assert_eq!(s.delivered_bits, p.delivered_bits);
         assert_eq!(s.goodput_bps.to_bits(), p.goodput_bps.to_bits());
     }
-    assert_eq!(
-        serial_view, parallel_view,
-        "net telemetry deterministic views diverged"
-    );
 
-    // The view file holds only deterministic content: the per-density
-    // table and the telemetry view, so two runs at different thread
-    // counts (or in different processes) must produce identical bytes.
-    if let Some(path) = view_path {
-        let mut table = String::from("dense-network density sweep (deterministic view)\n");
-        for p in &serial {
-            table.push_str(&format!(
-                "nodes={} aps={} rounds={} sessions={} completed={} delivered={} fixes={} \
-                 handoffs={} overruns={} bits={} goodput_bps={} digest={:#018x}\n",
-                p.nodes,
-                p.aps,
-                p.rounds,
-                p.sessions,
-                p.completed,
-                p.delivered,
-                p.fixes,
-                p.handoffs,
-                p.overruns,
-                p.delivered_bits,
-                json_f(p.goodput_bps),
-                p.digest,
-            ));
-        }
-        table.push_str(&serial_view);
-        std::fs::write(path, &table).expect("failed to write net deterministic view");
-        println!("net leg: wrote deterministic view to {path}");
+    // The view holds only deterministic content: the per-density table
+    // and the telemetry view, so two runs at different thread counts (or
+    // in different processes) must produce identical bytes.
+    let mut table = String::from("dense-network density sweep (deterministic view)\n");
+    for p in &serial {
+        table.push_str(&format!(
+            "nodes={} aps={} rounds={} sessions={} completed={} delivered={} fixes={} \
+             handoffs={} overruns={} bits={} goodput_bps={} digest={:#018x}\n",
+            p.nodes,
+            p.aps,
+            p.rounds,
+            p.sessions,
+            p.completed,
+            p.delivered,
+            p.fixes,
+            p.handoffs,
+            p.overruns,
+            p.delivered_bits,
+            json_f(p.goodput_bps),
+            p.digest,
+        ));
     }
+    table.push_str(&serial_view);
+    write_view("net", opts, &table);
 
     println!("net leg: {n_aps} APs, {rounds} rounds/density, densities {densities:?}");
     let mut points = Vec::new();
@@ -463,17 +450,6 @@ fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     )
 }
 
-/// A finite float as 6-decimal JSON, `null` otherwise (the fixed arm
-/// of a scenario that delivers nothing has infinite energy-per-byte,
-/// and bare `inf` is not valid JSON).
-fn json_f_or_null(v: f64) -> String {
-    if v.is_finite() {
-        json_f(v)
-    } else {
-        "null".to_string()
-    }
-}
-
 /// One adaptive-leg CSV row (also reused for the deterministic view).
 fn adaptive_csv_row(scenario: &str, variant: &str, o: &milback::AdaptiveOutcome) -> String {
     let epb = o.energy_per_byte_uj();
@@ -507,7 +483,9 @@ const ADAPTIVE_CSV_HEADER: &str = "scenario,variant,sessions,delivered_bytes,off
 /// workers, asserts the comparisons are identical (thread invariance),
 /// and in full (non-smoke) runs writes `results/adaptive_chaos.{csv,txt}`
 /// and requires adaptive to win on both metrics under >= 3 scenarios.
-fn adaptive_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
+/// Its view is the CSV and the table (no wall timings).
+fn adaptive_leg(opts: &Opts) -> String {
+    let (smoke, threads) = (opts.smoke, opts.threads);
     let (n_sessions, trials) = if smoke { (6, 1) } else { (20, 2) };
     let seed = 0xADA9_7001;
 
@@ -573,13 +551,7 @@ fn adaptive_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String 
         println!("  wrote results/adaptive_chaos.csv, results/adaptive_chaos.txt");
     }
 
-    // Deterministic view: CSV + table only (no wall timings), so two
-    // runs at any thread counts must produce identical bytes.
-    if let Some(path) = view_path {
-        let view = format!("{csv}\n{table}");
-        std::fs::write(path, &view).expect("failed to write adaptive deterministic view");
-        println!("adaptive leg: wrote deterministic view to {path}");
-    }
+    write_view("adaptive", opts, &format!("{csv}\n{table}"));
 
     let scenario_json: Vec<String> = serial
         .iter()
@@ -593,12 +565,12 @@ fn adaptive_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String 
                 fixed.offered_bytes,
                 fixed.sessions_failed,
                 json_f(fixed.goodput_kbps()),
-                json_f_or_null(fixed.energy_per_byte_uj()),
+                json_f(fixed.energy_per_byte_uj()),
                 adaptive.delivered_bytes,
                 adaptive.offered_bytes,
                 adaptive.sessions_failed,
                 json_f(adaptive.goodput_kbps()),
-                json_f_or_null(adaptive.energy_per_byte_uj()),
+                json_f(adaptive.energy_per_byte_uj()),
                 adaptive.ook_sessions,
                 adaptive.trimmed_sessions,
                 adaptive.slowed_sessions,
@@ -699,7 +671,7 @@ fn kernel_json(name: &str, desc: &str, reps: usize, leg: (f64, f64, f64)) -> Str
 }
 
 /// Results of the FFT-plan, per-kernel and five-chirp-burst legs — the
-/// transform-core region that `--kernels-only` runs on its own (and that
+/// transform-core region that `--legs kernels` runs on its own (and that
 /// `--check-against` gates on).
 struct CoreLegs {
     plan_n: usize,
@@ -1057,166 +1029,128 @@ fn check_regression(baseline_path: &str, legs: &CoreLegs) -> bool {
     ok
 }
 
-fn main() {
-    let (
-        out_path,
-        smoke,
-        chaos_only,
-        chaos_view,
-        serve_only,
-        serve_view,
-        net_only,
-        net_view,
-        adaptive_only,
-        adaptive_view,
-        kernels_only,
-        check_against,
-    ) = {
-        let mut args = std::env::args().skip(1);
-        let mut path = None;
-        let mut smoke = false;
-        let mut chaos_only = false;
-        let mut chaos_view = None;
-        let mut serve_only = false;
-        let mut serve_view = None;
-        let mut net_only = false;
-        let mut net_view = None;
-        let mut adaptive_only = false;
-        let mut adaptive_view = None;
-        let mut kernels_only = false;
-        let mut check_against = None;
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--out" => {
-                    if let Some(p) = args.next() {
-                        path = Some(p);
-                    }
-                }
-                "--smoke" => smoke = true,
-                "--chaos-only" => chaos_only = true,
-                "--chaos-view" => {
-                    if let Some(p) = args.next() {
-                        chaos_view = Some(p);
-                    }
-                }
-                // Accepted as the documented opt-in markers; the serving
-                // soak and the density sweep run in every full
-                // invocation regardless.
-                "--serve" | "--net" | "--adaptive" => {}
-                "--serve-only" => serve_only = true,
-                "--serve-view" => {
-                    if let Some(p) = args.next() {
-                        serve_view = Some(p);
-                    }
-                }
-                "--net-only" => net_only = true,
-                "--net-view" => {
-                    if let Some(p) = args.next() {
-                        net_view = Some(p);
-                    }
-                }
-                "--adaptive-only" => adaptive_only = true,
-                "--adaptive-view" => {
-                    if let Some(p) = args.next() {
-                        adaptive_view = Some(p);
-                    }
-                }
-                "--kernels-only" => kernels_only = true,
-                "--check-against" => {
-                    if let Some(p) = args.next() {
-                        check_against = Some(p);
-                    }
-                }
-                _ => {}
+/// The kernels leg: the transform-core region on its own, at full rep
+/// counts unless `--smoke`, without paying for the determinism legs. With
+/// `--check-against` it is the CI regression gate. Returns no report
+/// fragment: the full run times these kernels inside its measured region.
+fn kernels_leg(opts: &Opts) -> String {
+    let legs = core_legs(opts.smoke, 0xB16B_00B5);
+    if let Some(baseline) = opts.check_against.as_deref() {
+        let mut ok = check_regression(baseline, &legs);
+        // Shared-host interference windows last several seconds and
+        // can inflate a whole invocation (even the normalized ratio
+        // moves when a neighbor evicts the kernels' working set);
+        // bounded re-measures distinguish a real regression (fails
+        // every time) from a noisy window (a retry lands clean).
+        for attempt in 2..=3 {
+            if ok {
+                break;
             }
+            println!(
+                "regression check failed; re-measuring (attempt {attempt}/3) \
+                 to rule out host noise"
+            );
+            let legs = core_legs(opts.smoke, 0xB16B_00B5);
+            ok = check_regression(baseline, &legs);
         }
-        (
-            path.unwrap_or_else(|| next_bench_path(std::path::Path::new("."))),
-            smoke,
-            chaos_only,
-            chaos_view,
-            serve_only,
-            serve_view,
-            net_only,
-            net_view,
-            adaptive_only,
-            adaptive_view,
-            kernels_only,
-            check_against,
-        )
-    };
+        if !ok {
+            eprintln!("regression check FAILED against {baseline}");
+            std::process::exit(1);
+        }
+        println!("regression check passed against {baseline}");
+    }
+    String::new()
+}
 
-    // The transform-core region on its own: the CI regression gate runs
-    // this at full rep counts (stable timings) without paying for the
-    // chaos/serve/net determinism legs.
-    if kernels_only {
-        let legs = core_legs(smoke, 0xB16B_00B5);
-        if let Some(baseline) = check_against.as_deref() {
-            let mut ok = check_regression(baseline, &legs);
-            // Shared-host interference windows last several seconds and
-            // can inflate a whole invocation (even the normalized ratio
-            // moves when a neighbor evicts the kernels' working set);
-            // bounded re-measures distinguish a real regression (fails
-            // every time) from a noisy window (a retry lands clean).
-            for attempt in 2..=3 {
-                if ok {
-                    break;
-                }
-                println!(
-                    "regression check failed; re-measuring (attempt {attempt}/3) \
-                     to rule out host noise"
-                );
-                let legs = core_legs(smoke, 0xB16B_00B5);
-                ok = check_regression(baseline, &legs);
-            }
-            if !ok {
-                eprintln!("regression check FAILED against {baseline}");
-                std::process::exit(1);
-            }
-            println!("regression check passed against {baseline}");
+/// A named leg `--legs` can select.
+type Leg = (&'static str, fn(&Opts) -> String);
+
+/// The leg registry. The full run (no `--legs`) runs the first four in
+/// this order, then its measured region, which times the kernels itself.
+const LEGS: [Leg; 5] = [
+    ("chaos", chaos_leg),
+    ("serve", serve_leg),
+    ("net", net_leg),
+    ("adaptive", adaptive_leg),
+    ("kernels", kernels_leg),
+];
+
+const USAGE: &str = "usage: bench_engine [--smoke] [--out PATH] [--legs LEG,...] [--view PATH] \
+     [--check-against BASELINE.json]\n  legs: chaos, serve, net, adaptive, kernels";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("bench_engine: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Parses the command line into the report path, the `--legs` selection
+/// (`None` for the full run) and the leg options. Usage errors exit 2.
+fn parse_args() -> (Option<String>, Option<Vec<Leg>>, Opts) {
+    let mut args = std::env::args().skip(1);
+    let (mut out, mut legs, mut view, mut check_against, mut smoke) =
+        (None, None, None, None, false);
+    let leg_named = |name: &str| -> Leg {
+        *LEGS
+            .iter()
+            .find(|leg| leg.0 == name)
+            .unwrap_or_else(|| usage_error(&format!("unknown leg `{name}`")))
+    };
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
+            "--smoke" => smoke = true,
+            "--out" => out = Some(value()),
+            "--view" => view = Some(value()),
+            "--check-against" => check_against = Some(value()),
+            "--legs" => legs = Some(value().split(',').map(leg_named).collect::<Vec<_>>()),
+            _ => usage_error(&format!("unknown flag `{flag}`")),
+        }
+    }
+    if let Some(legs) = &legs {
+        if out.is_some() {
+            usage_error("--out writes the full run's report; --legs writes none");
+        }
+        if check_against.is_some() && !legs.iter().any(|leg| leg.0 == "kernels") {
+            usage_error("--check-against gates the kernels leg");
+        }
+    }
+    if view.is_some() && !matches!(legs.as_deref(), Some([(name, _)]) if *name != "kernels") {
+        usage_error("--view needs exactly one leg with a view in --legs");
+    }
+    let opts = Opts {
+        smoke,
+        threads: batch::thread_count(),
+        view,
+        check_against,
+    };
+    (out, legs, opts)
+}
+
+fn main() {
+    let (out_path, legs, opts) = parse_args();
+    if let Some(legs) = legs {
+        for (_, run) in legs {
+            run(&opts);
         }
         return;
     }
+    let out_path = out_path.unwrap_or_else(|| next_bench_path(std::path::Path::new(".")));
     let bench_name = std::path::Path::new(&out_path)
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "BENCH".to_string());
 
+    let (smoke, threads) = (opts.smoke, opts.threads);
     let trials = if smoke { 4 } else { 24 };
     let seed = 0xB16B_00B5;
-    let threads = batch::thread_count();
 
-    // Chaos, serve and net legs first: each resets telemetry for its own
-    // serial/parallel view comparison, so they have to run before (not
-    // inside) the measured region below.
-    let chaos_json = if serve_only || net_only || adaptive_only {
-        String::new()
-    } else {
-        chaos_leg(smoke, threads, chaos_view.as_deref())
-    };
-    if chaos_only {
-        return;
-    }
-    let serve_json = if net_only || adaptive_only {
-        String::new()
-    } else {
-        serve_leg(smoke, threads, serve_view.as_deref())
-    };
-    if serve_only {
-        return;
-    }
-    let net_json = if adaptive_only {
-        String::new()
-    } else {
-        net_leg(smoke, threads, net_view.as_deref())
-    };
-    if net_only {
-        return;
-    }
-    let adaptive_json = adaptive_leg(smoke, threads, adaptive_view.as_deref());
-    if adaptive_only {
-        return;
-    }
+    let chaos_json = chaos_leg(&opts);
+    let serve_json = serve_leg(&opts);
+    let net_json = net_leg(&opts);
+    let adaptive_json = adaptive_leg(&opts);
 
     // Warm each thread's plan cache so the engine comparison measures
     // scheduling, not first-use table construction.
@@ -1474,7 +1408,7 @@ fn main() {
     std::fs::write(&out_path, &json).expect("failed to write benchmark JSON");
     println!("wrote {out_path}");
 
-    if let Some(baseline) = check_against.as_deref() {
+    if let Some(baseline) = opts.check_against.as_deref() {
         if !check_regression(baseline, &legs) {
             eprintln!("regression check FAILED against {baseline}");
             std::process::exit(1);

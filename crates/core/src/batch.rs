@@ -25,6 +25,7 @@
 //! later trial in the batch runs allocation-free through the hot pipeline
 //! (DESIGN.md §12). Buffer placement never changes FP values, so the
 //! determinism contract above is unaffected.
+//! Workers inherit the caller's telemetry scope (DESIGN.md §11.2).
 
 use milback_telemetry as telemetry;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -145,18 +146,21 @@ where
     } else {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let scope = telemetry::Scope::current();
         std::thread::scope(|s| {
             for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = run_one(&items[i], i);
-                    // A poisoned slot mutex just means another worker
-                    // panicked; take the lock anyway — the panic will
-                    // propagate out of the scope regardless.
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+                s.spawn(|| {
+                    scope.run(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let out = run_one(&items[i], i);
+                        // A poisoned slot mutex just means another worker
+                        // panicked; take the lock anyway — the panic will
+                        // propagate out of the scope regardless.
+                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+                    })
                 });
             }
         });
@@ -253,27 +257,30 @@ where
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     };
+    let scope = &telemetry::Scope::current();
     std::thread::scope(|s| {
         for w in 0..threads {
             let f = &f;
             let claim = &claim;
             s.spawn(move || {
-                // Own lane first: round-robin ownership keeps workers on
-                // disjoint jobs while everyone is busy.
-                let mut i = w;
-                while i < n {
-                    if claim(i) {
-                        f(i);
+                scope.run(|| {
+                    // Own lane first: round-robin ownership keeps workers
+                    // on disjoint jobs while everyone is busy.
+                    let mut i = w;
+                    while i < n {
+                        if claim(i) {
+                            f(i);
+                        }
+                        i += threads;
                     }
-                    i += threads;
-                }
-                // Lane drained: steal whatever is still unclaimed.
-                for i in 0..n {
-                    if claim(i) {
-                        telemetry::counter_add("core.batch.steal.local", 1);
-                        f(i);
+                    // Lane drained: steal whatever is still unclaimed.
+                    for i in 0..n {
+                        if claim(i) {
+                            telemetry::counter_add("core.batch.steal.local", 1);
+                            f(i);
+                        }
                     }
-                }
+                })
             });
         }
     });
@@ -428,6 +435,28 @@ mod tests {
         q.reset(64);
         assert_eq!(q.capacity(), 64);
         run_stealing_with_threads(&q, 0, 4, |_| unreachable!("no jobs"));
+    }
+
+    /// Workers of both spawn sites record into the caller's scope, never
+    /// into the default registry.
+    #[test]
+    fn workers_record_into_the_callers_scope() {
+        let items: Vec<u64> = (1..=40).collect();
+        let mut q = StealQueue::new();
+        q.reset(items.len());
+        let ((), snap) = telemetry::capture(|| {
+            par_map_with_threads(&items, 4, |&x, _| {
+                telemetry::counter_add("test.batch.par_map", x);
+            });
+            run_stealing_with_threads(&q, items.len(), 4, |i| {
+                telemetry::counter_add("test.batch.stealing", items[i]);
+            });
+        });
+        assert_eq!(snap.counters["test.batch.par_map"], 820);
+        assert_eq!(snap.counters["test.batch.stealing"], 820);
+        let global = telemetry::snapshot();
+        assert!(!global.counters.contains_key("test.batch.par_map"));
+        assert!(!global.counters.contains_key("test.batch.stealing"));
     }
 
     #[test]

@@ -45,13 +45,13 @@
 //!
 //! ## Observability
 //!
-//! The whole pipeline is instrumented with `milback-telemetry`: set
-//! `MILBACK_TELEMETRY=1` (or call `milback_telemetry::set_enabled(true)`)
-//! and every [`link`] transfer, [`protocol`] packet, [`experiments`]
-//! driver and [`batch`] run records counters, histograms and spans into
-//! a process-wide registry. `milback_telemetry::snapshot()` drains it;
-//! the `bench_engine` binary embeds the snapshot in its `BENCH_*.json`
-//! output. Aggregation is sharded per worker thread and merged with
+//! The whole pipeline is instrumented with `milback-telemetry`: every
+//! [`link`] transfer, [`protocol`] packet, [`experiments`] driver and
+//! [`batch`] run records counters, histograms and spans.
+//! `milback_telemetry::capture(|| …)` returns what one run recorded,
+//! [`batch`] workers included. Outside a capture, metrics reach a
+//! process-wide registry when `MILBACK_TELEMETRY=1`; `bench_engine`
+//! embeds its snapshot in `BENCH_*.json`. Shards merge with
 //! order-independent integer arithmetic, so batch totals are identical
 //! whether `MILBACK_THREADS=1` or 16 (DESIGN.md §11).
 

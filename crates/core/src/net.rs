@@ -27,7 +27,7 @@
 //!   crossing is a deterministic handoff event.
 //! * **Sharded sweeps** — [`density_sweep`] scales the §10 batch engine
 //!   across *node count* instead of trial count, feeding the
-//!   `bench_engine --net` leg (sessions/sec and aggregate goodput vs
+//!   `bench_engine` net leg (sessions/sec and aggregate goodput vs
 //!   density in `BENCH_5.json`).
 //!
 //! ## Determinism

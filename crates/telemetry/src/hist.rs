@@ -97,11 +97,6 @@ impl Histogram {
         }
     }
 
-    /// Whether no values have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Records one value.
     pub fn record(&mut self, v: u64) {
         self.count = self.count.saturating_add(1);
@@ -111,41 +106,12 @@ impl Histogram {
         let i = bucket_index(v);
         self.buckets[i] = self.buckets[i].saturating_add(1);
     }
-
-    /// Mean of the recorded values (`None` when empty).
-    ///
-    /// ```
-    /// use milback_telemetry::Histogram;
-    /// let mut h = Histogram::new();
-    /// assert_eq!(h.mean(), None);
-    /// h.record(2);
-    /// h.record(4);
-    /// assert_eq!(h.mean(), Some(3.0));
-    /// ```
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum as f64 / self.count as f64)
-        }
-    }
-
-    /// Adds every observation of `other` into `self`. Commutative and
-    /// associative, so shard merge order never changes the totals.
-    pub fn merge(&mut self, other: &Self) {
-        self.count = self.count.saturating_add(other.count);
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a = a.saturating_add(*b);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HistogramSnapshot;
 
     #[test]
     fn bucket_boundaries() {
@@ -195,31 +161,32 @@ mod tests {
         assert_eq!(h.buckets[1], u64::MAX);
     }
 
+    /// The snapshot merge (how shards combine) is order-free: any split
+    /// of the values across shards, merged in any order, equals one shard
+    /// that recorded them all.
     #[test]
-    fn merge_matches_serial_recording() {
+    fn shard_merge_matches_serial_recording() {
         let values: Vec<u64> = (0..1000).map(|i| i * i % 777).collect();
         let mut serial = Histogram::new();
         for &v in &values {
             serial.record(v);
         }
-        // Split across three "shards" and merge in a scrambled order.
         let mut shards = [Histogram::new(), Histogram::new(), Histogram::new()];
         for (i, &v) in values.iter().enumerate() {
             shards[i % 3].record(v);
         }
-        let mut merged = Histogram::new();
+        let mut expect = HistogramSnapshot::empty();
+        expect.merge_from(&serial);
+        let mut merged = HistogramSnapshot::empty();
         for idx in [2, 0, 1] {
-            merged.merge(&shards[idx]);
+            merged.merge_from(&shards[idx]);
         }
-        assert_eq!(merged, serial);
+        assert_eq!(merged, expect);
     }
 
     #[test]
     fn empty_histogram_stats() {
         let h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.min, u64::MAX);
-        assert_eq!(h.max, 0);
+        assert_eq!((h.count, h.min, h.max), (0, u64::MAX, 0));
     }
 }

@@ -1,7 +1,8 @@
 //! Point-in-time snapshots of the registry and their JSON encoding.
 //!
 //! A [`Snapshot`] is an ordinary data structure (sorted maps, no locks)
-//! produced by [`crate::snapshot()`]; [`Snapshot::to_json`] renders it as
+//! produced by [`crate::capture`], [`crate::Scope::snapshot`] or
+//! [`crate::snapshot()`]; [`Snapshot::to_json`] renders it as
 //! a self-contained JSON object that `bench_engine` embeds under the
 //! `"telemetry"` key of its `BENCH_*.json` output. The encoder is
 //! hand-rolled (the workspace builds offline, without serde) and emits
@@ -107,13 +108,10 @@ impl HistogramSnapshot {
 /// A consistent point-in-time aggregate of every metric.
 ///
 /// ```
-/// milback_telemetry::set_enabled(true);
-/// milback_telemetry::reset();
-/// milback_telemetry::counter_add("doc.snapshot.events", 1);
-/// let snap = milback_telemetry::snapshot();
+/// let ((), snap) =
+///     milback_telemetry::capture(|| milback_telemetry::counter_add("doc.snapshot.events", 1));
 /// let json = snap.to_json(2);
 /// assert!(json.contains("\"doc.snapshot.events\": 1"));
-/// milback_telemetry::set_enabled(false);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
@@ -134,18 +132,18 @@ impl Snapshot {
     /// the property the integration tests pin down.
     ///
     /// ```
-    /// milback_telemetry::set_enabled(true);
-    /// milback_telemetry::reset();
-    /// milback_telemetry::counter_add("doc.det.frames", 1);
-    /// milback_telemetry::counter_add("doc.det.cache_miss.local", 1);
-    /// milback_telemetry::observe("doc.det.elapsed.ns", 1500);
-    /// milback_telemetry::gauge_set("doc.det.threads", 8.0);
-    /// let det = milback_telemetry::snapshot().deterministic_view();
+    /// use milback_telemetry as telemetry;
+    /// let ((), snap) = telemetry::capture(|| {
+    ///     telemetry::counter_add("doc.det.frames", 1);
+    ///     telemetry::counter_add("doc.det.cache_miss.local", 1);
+    ///     telemetry::observe("doc.det.elapsed.ns", 1500);
+    ///     telemetry::gauge_set("doc.det.threads", 8.0);
+    /// });
+    /// let det = snap.deterministic_view();
     /// assert!(det.counters.contains_key("doc.det.frames"));
     /// assert!(!det.counters.contains_key("doc.det.cache_miss.local"));
     /// assert!(det.histograms.is_empty());
     /// assert!(det.gauges.is_empty());
-    /// milback_telemetry::set_enabled(false);
     /// ```
     pub fn deterministic_view(&self) -> Snapshot {
         let keep = |name: &str| !name.ends_with(".ns") && !name.ends_with(".local");

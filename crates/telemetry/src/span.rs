@@ -15,15 +15,11 @@ use std::time::Instant;
 /// A drop-guard that records its own lifetime into a histogram.
 ///
 /// ```
-/// milback_telemetry::set_enabled(true);
-/// milback_telemetry::reset();
-/// {
+/// let ((), snap) = milback_telemetry::capture(|| {
 ///     let _span = milback_telemetry::span("doc.span.work.ns");
 ///     // ... the timed region ...
-/// } // drop records the elapsed nanoseconds
-/// let snap = milback_telemetry::snapshot();
+/// }); // drop records the elapsed nanoseconds
 /// assert_eq!(snap.histograms["doc.span.work.ns"].count, 1);
-/// milback_telemetry::set_enabled(false);
 /// ```
 #[derive(Debug)]
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
@@ -69,59 +65,13 @@ pub fn span(name: &'static str) -> Span {
 /// `name`.
 ///
 /// ```
-/// milback_telemetry::set_enabled(true);
-/// milback_telemetry::reset();
-/// let out = milback_telemetry::time("doc.time.calc.ns", || 6 * 7);
+/// let (out, snap) =
+///     milback_telemetry::capture(|| milback_telemetry::time("doc.time.calc.ns", || 6 * 7));
 /// assert_eq!(out, 42);
-/// assert_eq!(milback_telemetry::snapshot().histograms["doc.time.calc.ns"].count, 1);
-/// milback_telemetry::set_enabled(false);
+/// assert_eq!(snap.histograms["doc.time.calc.ns"].count, 1);
 /// ```
 #[inline]
 pub fn time<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     let _span = span(name);
     f()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn span_records_once_on_drop() {
-        let _g = crate::test_lock();
-        crate::set_enabled(true);
-        crate::reset();
-        {
-            let _s = span("test.span.ns");
-        }
-        let h = &crate::snapshot().histograms["test.span.ns"];
-        assert_eq!(h.count, 1);
-        crate::set_enabled(false);
-    }
-
-    #[test]
-    fn early_end_does_not_double_record() {
-        let _g = crate::test_lock();
-        crate::set_enabled(true);
-        crate::reset();
-        let s = span("test.span.early.ns");
-        s.end();
-        assert_eq!(crate::snapshot().histograms["test.span.early.ns"].count, 1);
-        crate::set_enabled(false);
-    }
-
-    #[test]
-    fn disabled_span_records_nothing() {
-        let _g = crate::test_lock();
-        crate::set_enabled(true);
-        crate::reset();
-        crate::set_enabled(false);
-        {
-            let _s = span("test.span.off.ns");
-        }
-        time("test.span.off.ns", || ());
-        assert!(!crate::snapshot()
-            .histograms
-            .contains_key("test.span.off.ns"));
-    }
 }

@@ -40,20 +40,23 @@ fn chaos_sweep_is_thread_count_invariant() {
 /// the injected schedule, not on thread interleaving.
 #[test]
 fn chaos_telemetry_views_are_byte_identical() {
-    let was = telemetry::enabled();
-    telemetry::set_enabled(true);
-
-    telemetry::reset();
-    let serial = chaos_sweep_with_threads(&points(), 2, 0xC4A1, 1);
-    let view_serial = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::reset();
-    let parallel = chaos_sweep_with_threads(&points(), 2, 0xC4A1, 4);
-    let view_parallel = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::set_enabled(was);
+    let (serial, view_serial) =
+        telemetry::capture(|| chaos_sweep_with_threads(&points(), 2, 0xC4A1, 1));
+    let (parallel, view_parallel) =
+        telemetry::capture(|| chaos_sweep_with_threads(&points(), 2, 0xC4A1, 4));
+    let view_serial = view_serial.deterministic_view();
+    for layer in ["core.", "ap."] {
+        assert!(
+            view_serial.counters.keys().any(|k| k.starts_with(layer)),
+            "serial view has no `{layer}` counters"
+        );
+    }
     assert_eq!(serial, parallel, "outcomes diverged");
-    assert_eq!(view_serial, view_parallel, "deterministic views diverged");
+    assert_eq!(
+        view_serial.to_json(2),
+        view_parallel.deterministic_view().to_json(2),
+        "deterministic views diverged"
+    );
 }
 
 /// An empty fault plan is bitwise free: a network carrying

@@ -4,10 +4,8 @@
 //! (and a parked neighbor is not), and a multi-AP round with drift and
 //! handoffs is thread-invariant with byte-identical deterministic
 //! telemetry views — the same pin `tests/serve.rs` holds for the
-//! serving engine.
-//!
-//! The tests share one global lock: the telemetry registry and enable
-//! flag are process-wide, so view captures must not overlap.
+//! serving engine. Each view is a `telemetry::capture` of its own run,
+//! so no test needs a lock.
 
 use milback::net::{ap_line, net_roster, Fabric, NetConfig, RoundSchedule};
 use milback::{derive_seed, Fidelity, Interferer, Network, Session, SessionConfig, SessionCtx};
@@ -15,13 +13,6 @@ use milback_node::node::BackscatterNode;
 use milback_rf::geometry::{deg_to_rad, Pose};
 use milback_telemetry as telemetry;
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -68,7 +59,6 @@ proptest! {
 /// physics.
 #[test]
 fn single_node_fabric_matches_plain_session_bitwise() {
-    let _guard = serialized();
     let master = 0x51_EC0DE;
     let pose = Pose::facing_ap(2.1, deg_to_rad(-3.0), deg_to_rad(11.0));
     let aps = ap_line(1, 4.0);
@@ -104,7 +94,6 @@ fn single_node_fabric_matches_plain_session_bitwise() {
 /// arithmetic), while an actually-parked neighbor perturbs the fix.
 #[test]
 fn empty_interferer_list_is_bitwise_free_and_clutter_is_not() {
-    let _guard = serialized();
     let pose = Pose::facing_ap(2.0, deg_to_rad(-4.0), deg_to_rad(10.0));
     let neighbor =
         BackscatterNode::milback(Pose::facing_ap(2.4, deg_to_rad(6.0), deg_to_rad(12.0)));
@@ -143,7 +132,6 @@ fn empty_interferer_list_is_bitwise_free_and_clutter_is_not() {
 /// allowing zero interferers — the flag gates work, not outcomes.
 #[test]
 fn interference_off_matches_zero_neighbors_bitwise() {
-    let _guard = serialized();
     let aps = ap_line(1, 4.0);
     let poses = net_roster(4, &aps, 0x0FF);
     let base = NetConfig::milback(Fidelity::Fast);
@@ -190,7 +178,6 @@ fn interference_off_matches_zero_neighbors_bitwise() {
 /// counts, and byte-identical deterministic telemetry views.
 #[test]
 fn rounds_are_thread_invariant_with_identical_telemetry_views() {
-    let _guard = serialized();
     let aps = ap_line(2, 4.0);
     let poses = net_roster(10, &aps, 0xFA8);
     let cfg = NetConfig {
@@ -198,24 +185,22 @@ fn rounds_are_thread_invariant_with_identical_telemetry_views() {
         ..NetConfig::milback(Fidelity::Fast)
     };
 
-    let was = telemetry::enabled();
-    telemetry::set_enabled(true);
-
-    telemetry::reset();
-    let mut serial = Fabric::new(&aps, &poses, cfg);
-    serial.reseed(0x7E57);
-    let s0 = serial.run_round(1);
-    let s1 = serial.run_round(1);
-    let serial_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::reset();
-    let mut parallel = Fabric::new(&aps, &poses, cfg);
-    parallel.reseed(0x7E57);
-    let p0 = parallel.run_round(4);
-    let p1 = parallel.run_round(4);
-    let parallel_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::set_enabled(was);
+    let two_rounds = |threads| {
+        let mut fabric = Fabric::new(&aps, &poses, cfg);
+        fabric.reseed(0x7E57);
+        let r0 = fabric.run_round(threads);
+        let r1 = fabric.run_round(threads);
+        (fabric, r0, r1)
+    };
+    let ((serial, s0, s1), serial_view) = telemetry::capture(|| two_rounds(1));
+    let ((parallel, p0, p1), parallel_view) = telemetry::capture(|| two_rounds(4));
+    let serial_view = serial_view.deterministic_view();
+    for layer in ["core.", "ap."] {
+        assert!(
+            serial_view.counters.keys().any(|k| k.starts_with(layer)),
+            "serial view has no `{layer}` counters"
+        );
+    }
 
     for (s, p) in [(s0, p0), (s1, p1)] {
         assert_eq!(s.digest, p.digest, "round digests diverged");
@@ -236,7 +221,8 @@ fn rounds_are_thread_invariant_with_identical_telemetry_views() {
         );
     }
     assert_eq!(
-        serial_view, parallel_view,
+        serial_view.to_json(2),
+        parallel_view.deterministic_view().to_json(2),
         "deterministic telemetry views diverged"
     );
     // The soak exercised what it pins: sessions completed and both

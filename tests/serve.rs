@@ -2,11 +2,8 @@
 //! work-stealing session pool — exactly-once resolution, per-node FIFO,
 //! shed-only-Field-2 — plus the soak determinism pin: the same seeded
 //! schedule at 1 and 4 worker threads resolves identically, with
-//! byte-identical deterministic telemetry views.
-//!
-//! The tests share one global lock: the telemetry registry and enable
-//! flag are process-wide, so the soak test's view capture must not
-//! overlap another test's sessions.
+//! byte-identical deterministic telemetry views. Each view is a
+//! `telemetry::capture` of its own run, so no test needs a lock.
 
 use milback::serve::roster;
 use milback::{
@@ -15,13 +12,6 @@ use milback::{
 };
 use milback_telemetry as telemetry;
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A permissive config: thresholds high enough that light traffic never
 /// sheds, so admission outcomes are easy to reason about.
@@ -46,7 +36,6 @@ proptest! {
         threads in 1usize..5,
         faulty in any::<bool>(),
     ) {
-        let _guard = serialized();
         let cfg = TrafficConfig {
             nodes: 3,
             sessions: 12,
@@ -75,7 +64,6 @@ proptest! {
     /// stealing moves whole chains, never reorders within one.
     #[test]
     fn per_node_service_order_is_fifo(seed in any::<u64>(), threads in 1usize..5) {
-        let _guard = serialized();
         let cfg = TrafficConfig {
             nodes: 3,
             sessions: 12,
@@ -101,7 +89,6 @@ proptest! {
     /// still delivers its payload — the ARQ stays alive under overload.
     #[test]
     fn shedding_only_drops_field2_never_payload_arq(seed in any::<u64>()) {
-        let _guard = serialized();
         let cfg = TrafficConfig {
             nodes: 2,
             sessions: 16,
@@ -145,7 +132,6 @@ proptest! {
     /// queues beyond `queue_capacity`.
     #[test]
     fn submission_queue_is_bounded(seed in any::<u64>(), cap in 1usize..6) {
-        let _guard = serialized();
         let serve = ServeConfig {
             queue_capacity: cap,
             ..permissive()
@@ -179,7 +165,6 @@ proptest! {
 /// deterministic telemetry views.
 #[test]
 fn soak_is_thread_invariant_with_identical_telemetry_views() {
-    let _guard = serialized();
     let cfg = TrafficConfig {
         nodes: 4,
         sessions: 20,
@@ -190,20 +175,20 @@ fn soak_is_thread_invariant_with_identical_telemetry_views() {
     let schedule = TrafficSchedule::generate(&cfg, 0x50AC);
     let poses = roster(cfg.nodes, 0x50AC);
 
-    let was = telemetry::enabled();
-    telemetry::set_enabled(true);
-
-    telemetry::reset();
-    let mut serial_engine = ServeEngine::new(&poses, ServeConfig::milback());
-    let serial = serial_engine.serve_schedule(&schedule, 1);
-    let serial_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::reset();
-    let mut parallel_engine = ServeEngine::new(&poses, ServeConfig::milback());
-    let parallel = parallel_engine.serve_schedule(&schedule, 4);
-    let parallel_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::set_enabled(was);
+    let serve = |threads| {
+        let mut engine = ServeEngine::new(&poses, ServeConfig::milback());
+        let report = engine.serve_schedule(&schedule, threads);
+        (engine, report)
+    };
+    let ((serial_engine, serial), serial_view) = telemetry::capture(|| serve(1));
+    let ((parallel_engine, parallel), parallel_view) = telemetry::capture(|| serve(4));
+    let serial_view = serial_view.deterministic_view();
+    for layer in ["core.", "ap."] {
+        assert!(
+            serial_view.counters.keys().any(|k| k.starts_with(layer)),
+            "serial view has no `{layer}` counters"
+        );
+    }
 
     let serial_res: &[Resolution] = serial_engine.resolutions();
     assert_eq!(
@@ -222,7 +207,8 @@ fn soak_is_thread_invariant_with_identical_telemetry_views() {
     assert_eq!(serial.rejected, parallel.rejected);
     assert_eq!(serial.max_depth, parallel.max_depth);
     assert_eq!(
-        serial_view, parallel_view,
+        serial_view.to_json(2),
+        parallel_view.deterministic_view().to_json(2),
         "deterministic telemetry views diverged"
     );
     // The soak actually exercised the machinery it claims to pin.
@@ -234,7 +220,6 @@ fn soak_is_thread_invariant_with_identical_telemetry_views() {
 /// pool reuse leaks no state between epochs.
 #[test]
 fn repeated_epochs_resolve_identically() {
-    let _guard = serialized();
     let cfg = TrafficConfig {
         nodes: 3,
         sessions: 10,

@@ -5,20 +5,14 @@
 //! deterministic subset of a snapshot (everything except `.ns` wall-clock
 //! spans, `.local` per-thread caches, and gauges) must come out identical
 //! whether a batch ran with one worker (`MILBACK_THREADS=1` equivalent)
-//! or many. This file is the acceptance test for that contract.
+//! or many. This file is the acceptance test for that contract. Each
+//! snapshot is a `telemetry::capture` of its own batch, so the tests run
+//! concurrently without a lock.
 
 use milback::batch::run_trials_with_threads;
 use milback::{batch, Fidelity, Network};
 use milback_rf::geometry::{deg_to_rad, Pose};
 use milback_telemetry as telemetry;
-use std::sync::{Mutex, MutexGuard};
-
-/// Both tests mutate the process-global registry and enabled flag, so
-/// they must not interleave.
-fn registry_lock() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One full-stack trial: localization, then a downlink and an uplink
 /// transfer, so the snapshot covers dsp, ap, node, proto and core.
@@ -35,19 +29,16 @@ fn full_stack_trial(t: batch::Trial) -> u64 {
 }
 
 /// Runs the same batch with `threads` workers and returns the
-/// deterministic view of the resulting snapshot.
+/// deterministic view of what it recorded.
 fn run_and_snapshot(threads: usize) -> telemetry::Snapshot {
-    telemetry::reset();
-    let results = run_trials_with_threads(6, 0xDECAF, threads, full_stack_trial);
+    let (results, snap) =
+        telemetry::capture(|| run_trials_with_threads(6, 0xDECAF, threads, full_stack_trial));
     assert_eq!(results.len(), 6);
-    telemetry::snapshot().deterministic_view()
+    snap.deterministic_view()
 }
 
 #[test]
 fn parallel_and_serial_telemetry_totals_agree() {
-    let _gate = registry_lock();
-    telemetry::set_enabled(true);
-
     let serial = run_and_snapshot(1);
 
     // The serial baseline must actually have seen the pipeline: every
@@ -76,19 +67,21 @@ fn parallel_and_serial_telemetry_totals_agree() {
     }
 }
 
+/// Outside any scope with the global flag off, the pipeline reaches no
+/// registry. The only test here that touches the flag; it restores it.
 #[test]
 fn disabled_pipeline_records_nothing() {
-    let _gate = registry_lock();
+    let was = telemetry::enabled();
     telemetry::set_enabled(false);
     telemetry::reset();
     let pose = Pose::facing_ap(2.0, 0.0, 0.0);
     let mut net = Network::new(pose, Fidelity::Fast, 7);
     let _ = net.localize();
     let snap = telemetry::snapshot();
+    telemetry::set_enabled(was);
     assert!(snap.counters.is_empty(), "disabled run recorded counters");
     assert!(
         snap.histograms.is_empty(),
         "disabled run recorded histograms"
     );
-    telemetry::set_enabled(true);
 }
