@@ -119,6 +119,28 @@ for spec in "${DETERMINISM_LEGS[@]}"; do
     cmp "target/${leg}_view_1.$ext" "target/${leg}_view_2.$ext"
 done
 
+echo "==> results/ regeneration (every figure/table capture byte-identical)"
+# Reruns every figure and table binary and fails on any byte difference
+# from its committed capture in results/: stdout against <name>.txt,
+# and the --csv output against <name>.csv wherever one is committed.
+# Each binary runs inside target/results_check/ with the same relative
+# --csv path the capture was made with, so the "(csv written to …)"
+# line in its stdout matches too. net_density and adaptive_chaos are
+# skipped: bench_engine legs write them (no binary has those names).
+check_dir=target/results_check
+rm -rf "$check_dir"
+mkdir -p "$check_dir/results"
+for txt in results/*.txt; do
+    name=$(basename "$txt" .txt)
+    case "$name" in net_density | adaptive_chaos) continue ;; esac
+    csv_args=()
+    if [ -f "results/$name.csv" ]; then csv_args=(--csv "results/$name.csv"); fi
+    (cd "$check_dir" && cargo run -q --release --offline -p milback-bench --bin "$name" -- \
+        "${csv_args[@]}") >"$check_dir/results/$name.txt"
+    cmp "results/$name.txt" "$check_dir/results/$name.txt"
+    if [ -f "results/$name.csv" ]; then cmp "results/$name.csv" "$check_dir/results/$name.csv"; fi
+done
+
 echo "==> docs freshness (ARCHITECTURE/README section refs resolve in DESIGN.md)"
 # Every "DESIGN.md §N" reference in the top-level maps must point at a
 # real "## N." heading in DESIGN.md — a renumbered or deleted design

@@ -65,4 +65,4 @@ pub use ranging::{LocalizationResult, Localizer};
 pub use tone_select::{select_tones, ToneSelection};
 pub use uplink::{ook_ber, UplinkReceiver, UplinkScratch, UplinkStats, UPLINK_PILOT};
 pub use waveform::TxConfig;
-pub use workspace::{with_workspace, DspWorkspace};
+pub use workspace::DspWorkspace;

@@ -115,7 +115,9 @@ impl Network {
     }
 }
 
-/// Sanity helper for tests: the ARQ frame's header survives the trip.
+/// The payload inside a stop-and-wait ARQ frame (`None` if the header
+/// is malformed). A session's uplink travels as one such frame, so this
+/// recovers the node's bytes from `UplinkReport::payload`.
 pub fn arq_payload_of(frame: &[u8]) -> Option<&[u8]> {
     parse_header(frame).map(|(_, p)| p)
 }

@@ -5,18 +5,19 @@
 //! (`milback-dsp`, `milback-rf`, `milback-hw`, `milback-node`,
 //! `milback-ap`, `milback-proto`):
 //!
-//! * [`network`] — the single-node [`Network`]: localization (§5.1) and
-//!   orientation sensing at both ends (§5.2),
+//! * [`network`] — the single-node [`Network`]: Field-1 mode signalling
+//!   (§7), localization (§5.1) and orientation sensing at both ends
+//!   (§5.2),
 //! * [`link`] — OAQFM downlink and backscatter uplink (§6),
-//! * [`protocol`] — the full packet exchange (§7): mode signalling,
-//!   preamble, payload,
 //! * [`dense_link`] — multi-amplitude "dense OAQFM" (§9.4 extension),
 //! * [`adaptation`] — the closed-loop [`adaptation::LinkPolicy`]
 //!   controller (rate/OOK/chirp/ARQ levers), rate fallback,
 //!   stop-and-wait ARQ delivery, and the adaptive-vs-fixed chaos
 //!   evaluation,
-//! * [`session`] — the self-healing session supervisor: bounded retry,
-//!   backoff, reduced-chirp fallback, typed degradation reports,
+//! * [`session`] — the one session path (§7): the self-healing
+//!   supervisor over Field 1, Field 2 and the payload, with bounded
+//!   retry, backoff, reduced-chirp fallback, typed degradation reports,
+//!   and [`SessionCtx`], the one owner of every stage's scratch,
 //! * [`serve`] — the session-serving engine: work-stealing pool over
 //!   per-node FIFO chains, bounded submission queues with backpressure,
 //!   telemetry-driven load shedding,
@@ -46,7 +47,7 @@
 //! ## Observability
 //!
 //! The whole pipeline is instrumented with `milback-telemetry`: every
-//! [`link`] transfer, [`protocol`] packet, [`experiments`] driver and
+//! [`link`] transfer, [`session`], [`experiments`] driver and
 //! [`batch`] run records counters, histograms and spans.
 //! `milback_telemetry::capture(|| …)` returns what one run recorded,
 //! [`batch`] workers included. Outside a capture, metrics reach a
@@ -67,7 +68,6 @@ pub mod experiments;
 pub mod link;
 pub mod net;
 pub mod network;
-pub mod protocol;
 pub mod serve;
 pub mod session;
 pub mod survey;
@@ -88,7 +88,6 @@ pub use net::{
     RoundSchedule, Slot, SlotOutcome,
 };
 pub use network::{Interferer, Network};
-pub use protocol::PacketOutcome;
 pub use serve::{
     Outcome, Resolution, ServeConfig, ServeEngine, ServeReport, SessionRequest, TrafficConfig,
     TrafficSchedule, Workload,

@@ -2,20 +2,21 @@
 //! (paper §6.1–6.2) and backscatter uplink (§6.3), including carrier
 //! selection from the sensed orientation.
 //!
-//! All per-transfer working buffers live in `LinkScratch`, pooled on
-//! the [`Network`]: a warmed downlink or uplink performs zero heap
-//! allocations on the node/AP signal path (`tests/zero_alloc.rs` pins
-//! this). The only steady-state allocations left are the decoded payload
-//! `Vec<u8>` handed to the caller and the AP uplink receiver's internal
-//! demodulation buffers (see [`Network::uplink`]).
+//! All per-transfer working buffers live in `LinkScratch`, one set per
+//! [`SessionCtx`] (the worker's scratch, never the lane's): a warmed
+//! downlink or uplink performs zero heap allocations on the node/AP
+//! signal path, and its only steady-state allocation is the decoded
+//! payload `Vec<u8>` handed to the caller (`tests/zero_alloc.rs` pins
+//! both).
 
 use crate::network::Network;
+use crate::session::{with_session_ctx, SessionCtx};
 use milback_ap::tone_select::{select_tones, ToneSelection};
 use milback_ap::uplink::{UplinkReceiver, UplinkScratch, UPLINK_PILOT};
 use milback_ap::waveform;
 use milback_dsp::signal::Signal;
 use milback_hw::power::NodeMode;
-use milback_hw::switch::{SwitchSchedule, SwitchState};
+use milback_hw::switch::SwitchSchedule;
 use milback_node::demod::{
     demodulate_oaqfm_into, demodulate_ook_into, DemodScratch, EnvelopeSlicer,
 };
@@ -24,7 +25,7 @@ use milback_proto::bits::{bit_errors, bits_to_symbols_into, symbols_to_bits_into
 use milback_proto::frame::{decode_frame_with, encode_frame_into, FrameError, FrameScratch};
 use milback_rf::channel::{NodeInterface, TxComponent};
 use milback_rf::fsa::Port;
-use milback_rf::{wave_fingerprint, with_channel_workspace};
+use milback_rf::{wave_fingerprint, ChannelWorkspace};
 use milback_telemetry as telemetry;
 
 /// Minimum tone separation before falling back to single-carrier OOK:
@@ -53,7 +54,7 @@ struct QueryKey {
 /// [`TxComponent`]s plus their wave fingerprints. Repeated uplink
 /// transfers on the same plan reuse these instead of cloning out of the
 /// template cache and re-hashing every time.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct QueryCache {
     key: QueryKey,
     comp_a: TxComponent,
@@ -62,11 +63,10 @@ struct QueryCache {
     fp_b: u64,
 }
 
-/// Pooled working buffers for downlink/uplink transfers, owned by the
-/// [`Network`]. Every transfer `std::mem::take`s the scratch out of the
-/// network, reuses its capacity, and puts it back — so a warmed link
-/// layer stops allocating.
-#[derive(Debug, Clone)]
+/// Pooled working buffers for downlink/uplink transfers, owned by a
+/// [`SessionCtx`]. Every transfer reuses their capacity, so a warmed
+/// link layer stops allocating.
+#[derive(Debug, Default)]
 pub(crate) struct LinkScratch {
     /// Encoded frame symbols (payload + CRC).
     frame: Vec<OaqfmSymbol>,
@@ -107,39 +107,6 @@ pub(crate) struct LinkScratch {
     /// The uplink receiver's pooled demodulation buffers.
     uplink: UplinkScratch,
     query: Option<QueryCache>,
-}
-
-impl Default for LinkScratch {
-    fn default() -> Self {
-        // `Signal` has no Default (it insists on a positive sample rate);
-        // the placeholder rate is overwritten by every producer.
-        let sig = || Signal::new(1.0, 0.0, Vec::new());
-        Self {
-            frame: Vec::new(),
-            symbols: Vec::new(),
-            bits_a: Vec::new(),
-            bits_b: Vec::new(),
-            wave_a: sig(),
-            wave_b: sig(),
-            at_a: sig(),
-            at_b: sig(),
-            port_tmp: sig(),
-            rf: sig(),
-            det_a: Vec::new(),
-            det_b: Vec::new(),
-            got: Vec::new(),
-            sent_bits: Vec::new(),
-            got_bits: Vec::new(),
-            demod: DemodScratch::default(),
-            codec: FrameScratch::default(),
-            sched_a: SwitchSchedule::Constant(SwitchState::Absorptive),
-            sched_b: SwitchSchedule::Constant(SwitchState::Absorptive),
-            rx0: sig(),
-            rx1: sig(),
-            uplink: UplinkScratch::default(),
-            query: None,
-        }
-    }
 }
 
 /// Outcome of a downlink transfer.
@@ -208,25 +175,29 @@ impl Network {
         comp_a: &TxComponent,
         comp_b: &TxComponent,
     ) -> (Signal, Signal) {
-        let fs = comp_a.signal.fs;
-        let fc = comp_a.signal.fc;
-        let mut at_a = Signal::new(fs, fc, Vec::new());
-        let mut at_b = Signal::new(fs, fc, Vec::new());
-        let mut tmp = Signal::new(fs, fc, Vec::new());
-        self.render_tones_to_ports_into(comp_a, comp_b, &mut at_a, &mut at_b, &mut tmp);
+        let (mut at_a, mut at_b, mut tmp) = Default::default();
+        with_session_ctx(|ctx| {
+            self.render_tones_to_ports_into(
+                &mut ctx.chan,
+                comp_a,
+                comp_b,
+                &mut at_a,
+                &mut at_b,
+                &mut tmp,
+            )
+        });
         (at_a, at_b)
     }
 
     /// Allocation-free [`Network::render_tones_to_ports`] into pooled
     /// output signals (`tmp` holds the cross-tone render between adds).
     ///
-    /// The four port renders share one [`ChannelWorkspace`] borrow and
-    /// each component's [`wave_fingerprint`] is computed once, so the
-    /// hoisted port tables are reused across ports and transfers.
-    ///
-    /// [`ChannelWorkspace`]: milback_rf::ChannelWorkspace
+    /// The four port renders share the workspace `cw` and each
+    /// component's [`wave_fingerprint`] is computed once, so the hoisted
+    /// port tables are reused across ports and transfers.
     pub(crate) fn render_tones_to_ports_into(
         &self,
+        cw: &mut ChannelWorkspace,
         comp_a: &TxComponent,
         comp_b: &TxComponent,
         at_a: &mut Signal,
@@ -237,18 +208,16 @@ impl Network {
         let fp_b = wave_fingerprint(comp_b);
         let pose = &self.node.pose;
         let fsa = &self.node.fsa;
-        with_channel_workspace(|ws| {
-            self.scene
-                .to_node_port_into(ws, comp_a, fp_a, pose, fsa, Port::A, at_a);
-            self.scene
-                .to_node_port_into(ws, comp_b, fp_b, pose, fsa, Port::A, tmp);
-            at_a.add(tmp);
-            self.scene
-                .to_node_port_into(ws, comp_b, fp_b, pose, fsa, Port::B, at_b);
-            self.scene
-                .to_node_port_into(ws, comp_a, fp_a, pose, fsa, Port::B, tmp);
-            at_b.add(tmp);
-        });
+        self.scene
+            .to_node_port_into(cw, comp_a, fp_a, pose, fsa, Port::A, at_a);
+        self.scene
+            .to_node_port_into(cw, comp_b, fp_b, pose, fsa, Port::A, tmp);
+        at_a.add(tmp);
+        self.scene
+            .to_node_port_into(cw, comp_b, fp_b, pose, fsa, Port::B, at_b);
+        self.scene
+            .to_node_port_into(cw, comp_a, fp_a, pose, fsa, Port::B, tmp);
+        at_b.add(tmp);
     }
 
     /// Chooses OAQFM carriers for the node's current (AP-estimated)
@@ -260,10 +229,19 @@ impl Network {
     /// collapsed to single-carrier OOK *after* selection, so the RNG
     /// draw order of the sensing path is untouched.
     pub fn plan_tones(&mut self, use_truth: bool) -> Option<ToneSelection> {
+        with_session_ctx(|ctx| self.plan_tones_in(ctx, use_truth))
+    }
+
+    /// [`Network::plan_tones`] in caller-owned scratch.
+    pub(crate) fn plan_tones_in(
+        &mut self,
+        ctx: &mut SessionCtx,
+        use_truth: bool,
+    ) -> Option<ToneSelection> {
         let orientation = if use_truth {
             self.true_orientation()
         } else {
-            self.sense_orientation_at_ap()?
+            self.sense_orientation_at_ap_in(ctx)?
         };
         let sel = select_tones(&self.node.fsa, orientation, MIN_TONE_SEPARATION)?;
         Some(if self.force_single_tone {
@@ -278,27 +256,34 @@ impl Network {
     /// microbenchmarks); the end-to-end path senses first.
     ///
     /// Steady-state allocations: only the decoded payload `Vec<u8>` in
-    /// the report — all working buffers are pooled in the network's
-    /// `LinkScratch`.
+    /// the report — all working buffers are pooled in this thread's
+    /// [`SessionCtx`].
     pub fn downlink(
         &mut self,
         payload: &[u8],
         symbol_rate: f64,
         use_truth: bool,
     ) -> Option<DownlinkReport> {
+        with_session_ctx(|ctx| self.downlink_in(ctx, payload, symbol_rate, use_truth))
+    }
+
+    /// [`Network::downlink`] in caller-owned scratch.
+    pub(crate) fn downlink_in(
+        &mut self,
+        ctx: &mut SessionCtx,
+        payload: &[u8],
+        symbol_rate: f64,
+        use_truth: bool,
+    ) -> Option<DownlinkReport> {
         let _span = telemetry::span("core.link.downlink.ns");
-        let tones = self.plan_tones(use_truth)?;
-        let mut scr = std::mem::take(&mut self.link_scratch);
-        encode_frame_into(payload, &mut scr.codec, &mut scr.frame);
+        let tones = self.plan_tones_in(ctx, use_truth)?;
+        encode_frame_into(payload, &mut ctx.link.codec, &mut ctx.link.frame);
         let report = match tones {
             ToneSelection::Dual { f_a, f_b } => {
-                self.downlink_dual(&mut scr, payload, f_a, f_b, symbol_rate, tones)
+                self.downlink_dual(ctx, payload, f_a, f_b, symbol_rate, tones)
             }
-            ToneSelection::Single { f } => {
-                self.downlink_ook(&mut scr, payload, f, symbol_rate, tones)
-            }
+            ToneSelection::Single { f } => self.downlink_ook(ctx, payload, f, symbol_rate, tones),
         };
-        self.link_scratch = scr;
         telemetry::counter_add("core.link.downlink.frames", 1);
         telemetry::counter_add("core.link.downlink.bits", report.total_bits as u64);
         telemetry::counter_add("core.link.downlink.bit_errors", report.bit_errors as u64);
@@ -313,13 +298,14 @@ impl Network {
 
     fn downlink_dual(
         &mut self,
-        scr: &mut LinkScratch,
+        ctx: &mut SessionCtx,
         payload: &[u8],
         f_a: f64,
         f_b: f64,
         symbol_rate: f64,
         tones: ToneSelection,
     ) -> DownlinkReport {
+        let (scr, chan) = (&mut ctx.link, &mut ctx.chan);
         // Pilot + frame, so the node's threshold sees both levels early.
         scr.symbols.clear();
         scr.symbols.extend_from_slice(&UPLINK_PILOT);
@@ -344,12 +330,12 @@ impl Network {
         scr.wave_b.scale(1.0 / 2f64.sqrt());
         // The components take the waveforms by value; the buffers come
         // back out of them at the end of the transfer.
-        let placeholder = || Signal::new(1.0, 0.0, Vec::new());
-        let comp_a = TxComponent::tone(std::mem::replace(&mut scr.wave_a, placeholder()), f_a);
-        let comp_b = TxComponent::tone(std::mem::replace(&mut scr.wave_b, placeholder()), f_b);
+        let comp_a = TxComponent::tone(std::mem::take(&mut scr.wave_a), f_a);
+        let comp_b = TxComponent::tone(std::mem::take(&mut scr.wave_b), f_b);
 
         // Signal at each FSA port = wanted tone + cross-tone leakage.
         self.render_tones_to_ports_into(
+            chan,
             &comp_a,
             &comp_b,
             &mut scr.at_a,
@@ -429,12 +415,13 @@ impl Network {
 
     fn downlink_ook(
         &mut self,
-        scr: &mut LinkScratch,
+        ctx: &mut SessionCtx,
         payload: &[u8],
         f: f64,
         symbol_rate: f64,
         tones: ToneSelection,
     ) -> DownlinkReport {
+        let (scr, chan) = (&mut ctx.link, &mut ctx.chan);
         // OOK fallback: 1 bit per symbol on a single carrier.
         symbols_to_bits_into(&scr.frame, &mut scr.sent_bits);
         scr.bits_a.clear();
@@ -445,19 +432,14 @@ impl Network {
         let mut tx = self.ap.tx;
         tx.fs = fs;
         waveform::ook_waveform_into(&tx, f, f, &scr.bits_a, symbol_rate, &mut scr.wave_a);
-        let comp = TxComponent::tone(
-            std::mem::replace(&mut scr.wave_a, Signal::new(1.0, 0.0, Vec::new())),
-            f,
-        );
+        let comp = TxComponent::tone(std::mem::take(&mut scr.wave_a), f);
         let fp = wave_fingerprint(&comp);
         let pose = &self.node.pose;
         let fsa = &self.node.fsa;
-        with_channel_workspace(|ws| {
-            self.scene
-                .to_node_port_into(ws, &comp, fp, pose, fsa, Port::A, &mut scr.at_a);
-            self.scene
-                .to_node_port_into(ws, &comp, fp, pose, fsa, Port::B, &mut scr.at_b);
-        });
+        self.scene
+            .to_node_port_into(chan, &comp, fp, pose, fsa, Port::A, &mut scr.at_a);
+        self.scene
+            .to_node_port_into(chan, &comp, fp, pose, fsa, Port::B, &mut scr.at_b);
 
         let p_tx = self.ap.tx.amplitude().powi(2);
         let chain = self.node_chain_gain();
@@ -512,21 +494,30 @@ impl Network {
         symbol_rate: f64,
         use_truth: bool,
     ) -> Option<UplinkReport> {
+        with_session_ctx(|ctx| self.uplink_in(ctx, payload, symbol_rate, use_truth))
+    }
+
+    /// [`Network::uplink`] in caller-owned scratch.
+    pub(crate) fn uplink_in(
+        &mut self,
+        ctx: &mut SessionCtx,
+        payload: &[u8],
+        symbol_rate: f64,
+        use_truth: bool,
+    ) -> Option<UplinkReport> {
         let _span = telemetry::span("core.link.uplink.ns");
-        let tones = self.plan_tones(use_truth)?;
-        let mut scr = std::mem::take(&mut self.link_scratch);
-        let report = self.uplink_transfer(&mut scr, payload, symbol_rate, tones);
-        self.link_scratch = scr;
-        report
+        let tones = self.plan_tones_in(ctx, use_truth)?;
+        self.uplink_transfer(ctx, payload, symbol_rate, tones)
     }
 
     fn uplink_transfer(
         &mut self,
-        scr: &mut LinkScratch,
+        ctx: &mut SessionCtx,
         payload: &[u8],
         symbol_rate: f64,
         tones: ToneSelection,
     ) -> Option<UplinkReport> {
+        let (scr, chan) = (&mut ctx.link, &mut ctx.chan);
         let (f_a, f_b) = match tones {
             ToneSelection::Dual { f_a, f_b } => (f_a, f_b),
             // Normal incidence: both ports reflect the same tone; the AP
@@ -568,7 +559,7 @@ impl Network {
         // node's FSA gain is evaluated at that tone's frequency (the whole
         // point of OAQFM: each tone talks to one port's beam). Query tones
         // only depend on the carrier plan, so repeated transfers pull them
-        // from the per-network cache (itself fed once from the template
+        // from the scratch's cache (itself fed once from the template
         // cache) instead of re-synthesizing and re-fingerprinting.
         let key = QueryKey {
             fs: fs.to_bits(),
@@ -615,9 +606,10 @@ impl Network {
             telemetry::counter_add("core.link.uplink.rejected", 1);
             return None;
         }
-        // Four monostatic renders (two tones × two RX antennas) share one
-        // workspace borrow; the per-tone ray tables and static responses
-        // are built once and replayed for the other antenna/transfer.
+        // Four monostatic renders (two tones × two RX antennas) share the
+        // session's workspace; the per-tone ray tables and static
+        // responses are built once and replayed for the other
+        // antenna/transfer.
         {
             let gamma = self.node.gamma_schedule(&scr.sched_a, &scr.sched_b);
             let node_if = NodeInterface {
@@ -626,30 +618,28 @@ impl Network {
                 gamma: &gamma,
             };
             let nodes = std::slice::from_ref(&node_if);
-            with_channel_workspace(|ws| {
-                self.scene
-                    .monostatic_rx_multi_into(ws, &q.comp_a, q.fp_a, nodes, 0, &mut scr.rx0);
-                self.scene.monostatic_rx_multi_into(
-                    ws,
-                    &q.comp_b,
-                    q.fp_b,
-                    nodes,
-                    0,
-                    &mut scr.port_tmp,
-                );
-                scr.rx0.add(&scr.port_tmp);
-                self.scene
-                    .monostatic_rx_multi_into(ws, &q.comp_a, q.fp_a, nodes, 1, &mut scr.rx1);
-                self.scene.monostatic_rx_multi_into(
-                    ws,
-                    &q.comp_b,
-                    q.fp_b,
-                    nodes,
-                    1,
-                    &mut scr.port_tmp,
-                );
-                scr.rx1.add(&scr.port_tmp);
-            });
+            self.scene
+                .monostatic_rx_multi_into(chan, &q.comp_a, q.fp_a, nodes, 0, &mut scr.rx0);
+            self.scene.monostatic_rx_multi_into(
+                chan,
+                &q.comp_b,
+                q.fp_b,
+                nodes,
+                0,
+                &mut scr.port_tmp,
+            );
+            scr.rx0.add(&scr.port_tmp);
+            self.scene
+                .monostatic_rx_multi_into(chan, &q.comp_a, q.fp_a, nodes, 1, &mut scr.rx1);
+            self.scene.monostatic_rx_multi_into(
+                chan,
+                &q.comp_b,
+                q.fp_b,
+                nodes,
+                1,
+                &mut scr.port_tmp,
+            );
+            scr.rx1.add(&scr.port_tmp);
         }
         // Scheduled impairments act on the AP's captures post-synthesis
         // (no-op, bitwise, when the plan is empty).

@@ -1,12 +1,14 @@
 //! The end-to-end MilBack network: one AP, one channel scene, one node.
 //!
 //! `Network` owns the scene, the node and the AP parameters, and runs the
-//! paper's procedures signal-by-signal: Field-2 localization (§5.1),
-//! orientation sensing at the AP (§5.2a) and at the node (§5.2b). The
-//! communication procedures live in [`crate::link`].
+//! paper's procedures signal-by-signal: Field-1 mode signalling (§7),
+//! Field-2 localization (§5.1), orientation sensing at the AP (§5.2a)
+//! and at the node (§5.2b). The communication procedures live in
+//! [`crate::link`]; the supervised packet exchange is
+//! [`crate::session::Session::run`].
 
 use crate::config::{ApParams, Fidelity};
-use crate::link::LinkScratch;
+use crate::session::{with_session_ctx, SessionCtx};
 use milback_ap::dechirp::RangeProcessor;
 use milback_ap::orientation::ApOrientationEstimator;
 use milback_ap::ranging::{LocalizationResult, Localizer};
@@ -15,19 +17,18 @@ use milback_dsp::noise::{add_awgn, thermal_noise_power};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_hw::switch::{SwitchSchedule, SwitchState};
+use milback_node::mode_detect::ModeDetector;
 use milback_node::node::{BackscatterNode, PortTaps};
 use milback_node::orientation::NodeOrientationEstimator;
+use milback_proto::packet::{LinkMode, PacketConfig, Slot};
 use milback_rf::channel::{FreqProfile, NodeInterface, Scene, TxComponent};
 use milback_rf::faults::FaultPlan;
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::Pose;
-use milback_rf::workspace::{
-    fsa_fingerprint, pose_bits, wave_fingerprint, with_channel_workspace, ChannelWorkspace,
-};
+use milback_rf::workspace::{fsa_fingerprint, pose_bits, wave_fingerprint, ChannelWorkspace};
 use milback_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
 
 /// A neighboring node whose leftover reflection clutters this network's
 /// Field-2 captures (inter-node interference, DESIGN.md §16). Plain
@@ -46,57 +47,46 @@ pub struct Interferer {
     pub gamma: [Cpx; 2],
 }
 
+/// A chirp's channel component (template signal + frequency profile)
+/// with its waveform fingerprint, rebuilt only when the chirp config
+/// changes, so repeat renders skip the template clone and the hash.
+#[derive(Debug, Default)]
+struct ChirpComponent(Option<(ChirpConfig, TxComponent, u64)>);
+
+impl ChirpComponent {
+    /// The component for `cfg` (built by `build` on a config change) and
+    /// its `wave_fingerprint`.
+    fn get(
+        &mut self,
+        cfg: ChirpConfig,
+        build: impl FnOnce() -> TxComponent,
+    ) -> (&TxComponent, u64) {
+        let entry = match self.0.take() {
+            Some(entry) if entry.0 == cfg => entry,
+            _ => {
+                let comp = build();
+                let fp = wave_fingerprint(&comp);
+                (cfg, comp, fp)
+            }
+        };
+        let (_, comp, fp) = self.0.insert(entry);
+        (comp, *fp)
+    }
+}
+
 /// Reusable buffers and cached identity for a Field-2 render
 /// (DESIGN.md §13). Holds the TX reference, the per-chirp capture
 /// pairs, and the channel component with its waveform fingerprint so a
 /// warmed burst re-renders with **zero** heap allocations
 /// (`tests/zero_alloc.rs`).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Field2Burst {
     /// TX reference chirp of the last render.
     pub tx: Signal,
     /// Per-chirp capture pairs (`[antenna 0, antenna 1]`).
     pub captures: Vec<[Signal; 2]>,
-    /// The channel component (TX chirp + frequency profile), kept so
-    /// repeat bursts skip the template clone.
-    comp: Option<TxComponent>,
-    /// `wave_fingerprint` of `comp`, cached alongside it.
-    wave_fp: u64,
-    /// The chirp config `comp`/`wave_fp` were built for.
-    comp_cfg: Option<ChirpConfig>,
-}
-
-/// Placeholder for not-yet-rendered capture slots (`Signal` requires a
-/// positive sample rate, so it has no `Default`). The render overwrites
-/// `fs`/`fc` and resizes the buffer.
-fn empty_signal() -> Signal {
-    Signal::zeros(1.0, 0.0, 0)
-}
-
-impl Default for Field2Burst {
-    fn default() -> Self {
-        Self {
-            tx: empty_signal(),
-            captures: Vec::new(),
-            comp: None,
-            wave_fp: 0,
-            comp_cfg: None,
-        }
-    }
-}
-
-thread_local! {
-    static BURST: RefCell<Field2Burst> = RefCell::new(Field2Burst::default());
-}
-
-/// Runs `f` with this thread's shared [`Field2Burst`] buffers (the
-/// render-side analogue of `milback_ap::with_workspace`). Re-entrant
-/// checkouts fall back to a fresh temporary burst.
-pub fn with_field2_burst<R>(f: impl FnOnce(&mut Field2Burst) -> R) -> R {
-    BURST.with(|b| match b.try_borrow_mut() {
-        Ok(mut burst) => f(&mut burst),
-        Err(_) => f(&mut Field2Burst::default()),
-    })
+    /// The sawtooth chirp's channel component.
+    chirp: ChirpComponent,
 }
 
 /// Identity of one port's Field-1 [`PortTaps`]: every input of the port
@@ -115,25 +105,19 @@ struct Field1Key {
     adc_rate: u64,
 }
 
-/// Reusable Field-1 render (DESIGN.md §13.6). Every Field-1 chirp slot
-/// and the orientation chirp put the same noiseless signal on the node's
-/// ports, so this holds the triangular-chirp component with its waveform
-/// fingerprint, a one-entry memo per port of the last pose's clean
-/// detector taps, and the pooled capture buffers. A memo hit renders
-/// nothing; only the detector noise and the ADC run per capture.
-#[derive(Debug)]
-pub struct Field1Render {
-    /// The channel component (TX chirp + frequency profile).
-    comp: TxComponent,
-    /// `wave_fingerprint` of `comp`.
-    wave_fp: u64,
-    /// The chirp config `comp`/`wave_fp` were built for (`None`: not
-    /// built yet).
-    comp_cfg: Option<ChirpConfig>,
+/// Reusable Field-1 render buffers (DESIGN.md §13.6), one set per
+/// [`SessionCtx`]. Every Field-1 chirp slot and the orientation chirp put
+/// the same noiseless signal on the node's ports, so this holds the
+/// triangular chirp's channel component, the full-rate port scratch of a
+/// memo miss, and the pooled capture buffers. The clean taps themselves
+/// are per pose and live on the lane ([`Field1Memo`]); only the detector
+/// noise and the ADC run per capture.
+#[derive(Debug, Default)]
+pub(crate) struct Field1Scratch {
+    /// The triangular chirp's channel component.
+    chirp: ChirpComponent,
     /// Scratch for the full-rate port signal of a memo miss.
     at_port: Signal,
-    /// Per port (`[A, B]`): the key of the memoized taps, and the taps.
-    memo: [(Option<Field1Key>, PortTaps); 2],
     /// Taps of a silent (gap) slot.
     silent: PortTaps,
     /// Noisy-tap scratch for [`BackscatterNode::capture_taps_into`].
@@ -142,64 +126,35 @@ pub struct Field1Render {
     caps: [Vec<f64>; 2],
     /// `signal_mode`'s summed capture of all three slots.
     pub(crate) combined: Vec<f64>,
-    /// Port renders performed (memo misses) on this render.
-    port_renders: u64,
 }
 
-impl Default for Field1Render {
-    fn default() -> Self {
-        Self {
-            comp: TxComponent::tone(empty_signal(), 0.0),
-            wave_fp: 0,
-            comp_cfg: None,
-            at_port: empty_signal(),
-            memo: Default::default(),
-            silent: PortTaps::default(),
-            noisy: Vec::new(),
-            caps: Default::default(),
-            combined: Vec::new(),
-            port_renders: 0,
-        }
-    }
+/// A lane's Field-1 taps memo: per port (`[A, B]`), the key and the
+/// clean detector taps of the last pose rendered (about 180 values per
+/// port). It belongs to the node's pose, so it lives on the
+/// [`Network`], and a worker that alternates lanes keeps every lane's
+/// memo warm.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Field1Memo {
+    ports: [(Option<Field1Key>, PortTaps); 2],
+    /// Port renders (memo misses) performed.
+    renders: u64,
 }
 
-impl Field1Render {
-    /// Port renders (memo misses) this render has performed.
-    pub fn port_renders(&self) -> u64 {
-        self.port_renders
-    }
-
-    /// The node's capture behind the last `signal_mode` decision on this
-    /// render: both ports summed, three slots back to back, faults
-    /// applied.
-    pub fn mode_capture(&self) -> &[f64] {
-        &self.combined
-    }
-
-    /// Points the render at chirp `cfg`, rebuilding the channel component
-    /// (from the waveform template) and its fingerprint only when the
-    /// config changes.
-    fn set_chirp(&mut self, cfg: ChirpConfig) {
-        if self.comp_cfg == Some(cfg) {
-            return;
-        }
-        self.comp = TxComponent {
-            signal: milback_dsp::template::triangular(&cfg).as_ref().clone(),
-            profile: FreqProfile::Triangular(cfg),
-        };
-        self.wave_fp = wave_fingerprint(&self.comp);
-        self.comp_cfg = Some(cfg);
-    }
-
+impl Field1Memo {
     /// Brings the memoized taps of both ports up to date for `scene` and
-    /// `node`, rendering a port signal and its detector video only when
-    /// its key changed. The channel workspace is checked out once per
-    /// port, hit or miss, so the thread-invariant `rf.workspace.reuse`
-    /// count never depends on this thread's memo state.
-    fn update_taps(&mut self, scene: &Scene, node: &BackscatterNode) {
+    /// `node` under chirp `comp`, rendering a port signal (into
+    /// `at_port`) and its detector video only when its key changed.
+    fn update(
+        &mut self,
+        cw: &mut ChannelWorkspace,
+        (comp, wave_fp): (&TxComponent, u64),
+        at_port: &mut Signal,
+        scene: &Scene,
+        node: &BackscatterNode,
+    ) {
         let key = Field1Key {
             scene: scene.static_fingerprint(),
-            wave: self.wave_fp,
+            wave: wave_fp,
             pose: pose_bits(&node.pose),
             fsa: fsa_fingerprint(&node.fsa),
             through_gain: node.switch.through_gain().to_bits(),
@@ -208,47 +163,44 @@ impl Field1Render {
             video_bandwidth: node.detector.video_bandwidth.to_bits(),
             adc_rate: node.adc.sample_rate.to_bits(),
         };
-        for (port, (memo_key, taps)) in Port::BOTH.into_iter().zip(&mut self.memo) {
-            with_channel_workspace(|cw| {
-                if *memo_key == Some(key) {
-                    return;
-                }
-                let at_port = &mut self.at_port;
-                scene.to_node_port_into(
-                    cw,
-                    &self.comp,
-                    self.wave_fp,
-                    &node.pose,
-                    &node.fsa,
-                    port,
-                    at_port,
-                );
-                node.port_taps_into(at_port, taps);
-                *memo_key = Some(key);
-                self.port_renders += 1;
-            });
+        for (port, (memo_key, taps)) in Port::BOTH.into_iter().zip(&mut self.ports) {
+            if *memo_key == Some(key) {
+                continue;
+            }
+            scene.to_node_port_into(cw, comp, wave_fp, &node.pose, &node.fsa, port, at_port);
+            node.port_taps_into(at_port, taps);
+            *memo_key = Some(key);
+            self.renders += 1;
         }
     }
+}
 
-    /// Captures ports A then B of one Field-1 chirp `cfg` into `caps`,
-    /// noise drawn from `rng` in that order.
-    pub(crate) fn chirp_captures<R: Rng + ?Sized>(
+impl Field1Scratch {
+    /// Captures ports A then B of one Field-1 chirp `cfg` into `caps`
+    /// from the lane's `memo` (refreshed first), noise drawn from `rng`
+    /// in that order.
+    fn chirp_captures<R: Rng + ?Sized>(
         &mut self,
+        cw: &mut ChannelWorkspace,
+        memo: &mut Field1Memo,
         cfg: ChirpConfig,
         scene: &Scene,
         node: &BackscatterNode,
         rng: &mut R,
     ) {
-        self.set_chirp(cfg);
-        self.update_taps(scene, node);
-        for ((_, taps), cap) in self.memo.iter().zip(&mut self.caps) {
+        let chirp = self.chirp.get(cfg, || TxComponent {
+            signal: milback_dsp::template::triangular(&cfg).as_ref().clone(),
+            profile: FreqProfile::Triangular(cfg),
+        });
+        memo.update(cw, chirp, &mut self.at_port, scene, node);
+        for ((_, taps), cap) in memo.ports.iter().zip(&mut self.caps) {
             node.capture_taps_into(taps, rng, &mut self.noisy, cap);
         }
     }
 
     /// Captures ports A then B of a silent `len`-sample slot at `fs` into
     /// `caps`: the clean video is zero, so only the noise is drawn.
-    pub(crate) fn silent_captures<R: Rng + ?Sized>(
+    fn silent_captures<R: Rng + ?Sized>(
         &mut self,
         node: &BackscatterNode,
         len: usize,
@@ -262,24 +214,10 @@ impl Field1Render {
     }
 
     /// Appends `caps[0] + caps[1]` sample-wise to the mode capture.
-    pub(crate) fn push_combined(&mut self) {
+    fn push_combined(&mut self) {
         let [a, b] = &self.caps;
         self.combined.extend(a.iter().zip(b).map(|(a, b)| a + b));
     }
-}
-
-thread_local! {
-    static FIELD1: RefCell<Field1Render> = RefCell::new(Field1Render::default());
-}
-
-/// Runs `f` with this thread's shared [`Field1Render`] (the Field-1
-/// analogue of [`with_field2_burst`]). Re-entrant checkouts fall back to
-/// a fresh temporary render.
-pub fn with_field1_render<R>(f: impl FnOnce(&mut Field1Render) -> R) -> R {
-    FIELD1.with(|r| match r.try_borrow_mut() {
-        Ok(mut render) => f(&mut render),
-        Err(_) => f(&mut Field1Render::default()),
-    })
 }
 
 /// A complete single-node MilBack deployment.
@@ -313,10 +251,10 @@ pub struct Network {
     /// no RNG draw order — only the carrier plan the link runs.
     pub force_single_tone: bool,
     rng: StdRng,
-    /// Pooled link-layer working buffers: downlink/uplink transfers
-    /// `mem::take` this, reuse its capacity, and put it back, so warmed
-    /// transfers stop allocating (`tests/zero_alloc.rs`).
-    pub(crate) link_scratch: LinkScratch,
+    /// The Field-1 taps memo of this node's pose. The lane's only
+    /// session state besides `interferers`: every working buffer lives
+    /// in the [`SessionCtx`] a session runs in.
+    field1: Field1Memo,
 }
 
 impl Network {
@@ -347,7 +285,7 @@ impl Network {
             interferers: Vec::new(),
             force_single_tone: false,
             rng: StdRng::seed_from_u64(seed),
-            link_scratch: LinkScratch::default(),
+            field1: Field1Memo::default(),
         }
     }
 
@@ -378,6 +316,13 @@ impl Network {
         &mut self.rng
     }
 
+    /// Port renders (Field-1 memo misses) this network has performed.
+    /// A pose the memo already holds renders nothing, whichever
+    /// [`SessionCtx`] the Field-1 call runs in.
+    pub fn field1_port_renders(&self) -> u64 {
+        self.field1.renders
+    }
+
     /// Re-seeds the RNG in place (allocation-free: `StdRng` is a plain
     /// struct). The serving engine keeps one pooled `Network` per node
     /// lane and reseeds it with `derive_seed(master, ticket)` at the
@@ -406,7 +351,7 @@ impl Network {
     /// wrapper over [`Self::field2_captures_into`].
     pub fn field2_captures_n(&mut self, n_chirps: usize) -> (Signal, Vec<[Signal; 2]>) {
         let mut burst = Field2Burst::default();
-        with_channel_workspace(|cw| self.field2_captures_into(cw, n_chirps, &mut burst));
+        with_session_ctx(|ctx| self.field2_captures_into(&mut ctx.chan, n_chirps, &mut burst));
         (burst.tx, burst.captures)
     }
 
@@ -415,8 +360,8 @@ impl Network {
     /// Bitwise identical to [`Self::field2_captures_n`] — same RNG draw
     /// order (one jitter gaussian per chirp, then per-antenna AWGN) and
     /// the same sample arithmetic; only the buffer management differs.
-    /// After warm-up (same scene/pose/fidelity on this thread), a burst
-    /// performs zero steady-state heap allocations.
+    /// After warm-up (same scene/pose/fidelity in this workspace and
+    /// burst), a burst performs zero steady-state heap allocations.
     pub fn field2_captures_into(
         &mut self,
         cw: &mut ChannelWorkspace,
@@ -436,22 +381,10 @@ impl Network {
         // burst and rebuilt only when the chirp config changes.
         let template = milback_dsp::template::sawtooth(&chirp_cfg);
         burst.tx.copy_from(template.as_ref());
-        let comp: &TxComponent = if burst.comp_cfg == Some(chirp_cfg) && burst.comp.is_some() {
-            match burst.comp.as_ref() {
-                Some(c) => c,
-                // Checked `is_some` above; unreachable.
-                None => return,
-            }
-        } else {
-            let fresh = TxComponent {
-                signal: template.as_ref().clone(),
-                profile: FreqProfile::Sawtooth(chirp_cfg),
-            };
-            burst.wave_fp = wave_fingerprint(&fresh);
-            burst.comp_cfg = Some(chirp_cfg);
-            burst.comp.insert(fresh)
-        };
-        let wave_fp = burst.wave_fp;
+        let (comp, wave_fp) = burst.chirp.get(chirp_cfg, || TxComponent {
+            signal: template.as_ref().clone(),
+            profile: FreqProfile::Sawtooth(chirp_cfg),
+        });
 
         let mod_freq = self.fidelity.localization_mod_freq();
         let schedule_a = SwitchSchedule::SquareWave {
@@ -464,7 +397,7 @@ impl Network {
         milback_dsp::buffer::track_growth(&mut burst.captures, n_chirps);
         burst.captures.truncate(n_chirps);
         while burst.captures.len() < n_chirps {
-            burst.captures.push([empty_signal(), empty_signal()]);
+            burst.captures.push(Default::default());
         }
         // Backscatter passes the node's implementation loss twice. This
         // expression differs from `BackscatterNode::gamma_schedule`'s
@@ -549,17 +482,15 @@ impl Network {
     }
 
     /// Runs the full §5.1 localization: Field-2 capture → dechirp →
-    /// background subtraction → range + angle.
+    /// background subtraction → range + angle, in this thread's
+    /// [`SessionCtx`] (bitwise identical to the allocating pipeline,
+    /// pinned by tests/workspace_equivalence.rs and
+    /// tests/channel_equivalence.rs).
     pub fn localize(&mut self) -> Option<LocalizationResult> {
-        // Render into the thread-local burst buffers through the cached
-        // channel path, then process in the thread-local DSP workspace:
-        // batch workers reuse both trial after trial (bitwise identical
-        // to the allocating pipeline, pinned by
-        // tests/workspace_equivalence.rs and tests/channel_equivalence.rs).
-        with_field2_burst(|burst| {
-            with_channel_workspace(|cw| self.field2_captures_into(cw, 5, burst));
+        with_session_ctx(|ctx| {
+            self.field2_captures_into(&mut ctx.chan, 5, &mut ctx.burst);
             let localizer = self.localizer();
-            milback_ap::with_workspace(|ws| localizer.process_with(ws, &burst.tx, &burst.captures))
+            localizer.process_with(&mut ctx.dsp, &ctx.burst.tx, &ctx.burst.captures)
         })
     }
 
@@ -574,67 +505,129 @@ impl Network {
     /// background subtraction → gate → IFFT flow. Returns the estimated
     /// incidence angle (radians).
     pub fn sense_orientation_at_ap(&mut self) -> Option<f64> {
-        with_field2_burst(|burst| {
-            with_channel_workspace(|cw| self.field2_captures_into(cw, 5, burst));
-            let tx = &burst.tx;
-            let captures = &burst.captures;
-            let localizer = self.localizer();
-            let est = ApOrientationEstimator::new(self.fidelity.sawtooth());
-            milback_ap::with_workspace(|ws| {
-                localizer.profile_diffs_with(ws, tx, captures);
-                // Locate the node's range bin from the combined detection
-                // spectrum, exactly as localization does.
-                milback_ap::background::detection_spectrum_into(&ws.diffs[0], &mut ws.det[0]);
-                milback_ap::background::detection_spectrum_into(&ws.diffs[1], &mut ws.det[1]);
-                milback_dsp::buffer::track_growth(&mut ws.det_sum, ws.det[0].len());
-                ws.det_sum.clear();
-                ws.det_sum
-                    .extend(ws.det[0].iter().zip(&ws.det[1]).map(|(a, b)| a + b));
-                let node_bin =
-                    localizer.find_node_bin_with(&ws.det_sum, tx.fs, &mut ws.floor_scratch)?;
-                // Use the difference pair with the most node energy.
-                let d0 = &ws.diffs[0];
-                let best = (0..d0.len()).max_by(|&i, &j| {
-                    let e = |k: usize| -> f64 {
-                        let lo = node_bin.saturating_sub(2);
-                        let hi = (node_bin + 3).min(d0[k].len());
-                        d0[k][lo..hi].iter().map(|c| c.norm_sq()).sum()
-                    };
-                    e(i).total_cmp(&e(j))
-                })?;
-                // Gate half-width: the beam bump's spectral spread is a few tens
-                // of bins at these chirp lengths.
-                let half = (localizer.proc.fft_len / 100).max(16);
-                est.estimate_gated(
-                    &d0[best],
-                    node_bin,
-                    half,
-                    tx.fs,
-                    tx.len(),
-                    &self.node.fsa,
-                    Port::A,
-                )
-            })
-        })
+        with_session_ctx(|ctx| self.sense_orientation_at_ap_in(ctx))
+    }
+
+    /// [`Self::sense_orientation_at_ap`] in caller-owned scratch.
+    pub(crate) fn sense_orientation_at_ap_in(&mut self, ctx: &mut SessionCtx) -> Option<f64> {
+        self.field2_captures_into(&mut ctx.chan, 5, &mut ctx.burst);
+        let tx = &ctx.burst.tx;
+        let captures = &ctx.burst.captures;
+        let ws = &mut ctx.dsp;
+        let localizer = self.localizer();
+        let est = ApOrientationEstimator::new(self.fidelity.sawtooth());
+        localizer.profile_diffs_with(ws, tx, captures);
+        // Locate the node's range bin from the combined detection
+        // spectrum, exactly as localization does.
+        milback_ap::background::detection_spectrum_into(&ws.diffs[0], &mut ws.det[0]);
+        milback_ap::background::detection_spectrum_into(&ws.diffs[1], &mut ws.det[1]);
+        milback_dsp::buffer::track_growth(&mut ws.det_sum, ws.det[0].len());
+        ws.det_sum.clear();
+        ws.det_sum
+            .extend(ws.det[0].iter().zip(&ws.det[1]).map(|(a, b)| a + b));
+        let node_bin = localizer.find_node_bin_with(&ws.det_sum, tx.fs, &mut ws.floor_scratch)?;
+        // Use the difference pair with the most node energy.
+        let d0 = &ws.diffs[0];
+        let best = (0..d0.len()).max_by(|&i, &j| {
+            let e = |k: usize| -> f64 {
+                let lo = node_bin.saturating_sub(2);
+                let hi = (node_bin + 3).min(d0[k].len());
+                d0[k][lo..hi].iter().map(|c| c.norm_sq()).sum()
+            };
+            e(i).total_cmp(&e(j))
+        })?;
+        // Gate half-width: the beam bump's spectral spread is a few tens
+        // of bins at these chirp lengths.
+        let half = (localizer.proc.fft_len / 100).max(16);
+        est.estimate_gated(
+            &d0[best],
+            node_bin,
+            half,
+            tx.fs,
+            tx.len(),
+            &self.node.fsa,
+            Port::A,
+        )
     }
 
     // ------------------------------------------------------------------
-    // Field 1: node-side orientation
+    // Field 1: mode signalling (§7) and node-side orientation
     // ------------------------------------------------------------------
+
+    /// Transmits Field 1 for `mode` and lets the node detect the mode by
+    /// counting chirps with its energy detector (paper §7).
+    pub fn signal_mode(&mut self, mode: LinkMode) -> Option<LinkMode> {
+        with_session_ctx(|ctx| self.signal_mode_in(ctx, mode))
+    }
+
+    /// [`Self::signal_mode`] in caller-owned scratch. The summed capture
+    /// behind the decision stays in `ctx` ([`SessionCtx::mode_capture`]).
+    pub(crate) fn signal_mode_in(
+        &mut self,
+        ctx: &mut SessionCtx,
+        mode: LinkMode,
+    ) -> Option<LinkMode> {
+        let chirp_cfg = self.field1_chirp();
+        let mut rng = self.fork_rng();
+        let r = &mut ctx.field1;
+        r.combined.clear();
+        for slot in PacketConfig::field1_slots(mode) {
+            match slot {
+                // Every chirp slot carries the same triangular chirp in
+                // slot-local time, so the ports' clean taps are shared;
+                // each slot draws its own detector noise.
+                Slot::Chirp => r.chirp_captures(
+                    &mut ctx.chan,
+                    &mut self.field1,
+                    chirp_cfg,
+                    &self.scene,
+                    &self.node,
+                    &mut rng,
+                ),
+                // Silence: the detectors see only their own noise.
+                Slot::Gap => {
+                    r.silent_captures(&self.node, chirp_cfg.n_samples(), chirp_cfg.fs, &mut rng)
+                }
+            }
+            r.push_combined();
+        }
+        let det = ModeDetector {
+            slot_duration: chirp_cfg.duration,
+            sample_rate: self.node.adc.sample_rate,
+        };
+        // Scheduled impairments hit the node's detector stream before the
+        // decision (no-op when the fault plan is empty) — a blockage
+        // window over Field 1 erases chirps the counter needed.
+        self.faults
+            .apply_to_video(self.clock_s, self.node.adc.sample_rate, &mut r.combined);
+        // The node knows its detector noise (it can measure a quiet
+        // window any time); the combined capture sums two ports.
+        let sigma = 2f64.sqrt() * self.node.detector.output_noise_rms();
+        det.detect_with_floor(&r.combined, 0.0, sigma)
+    }
 
     /// The Field-1 triangular chirp at this AP's amplitude (the config
     /// of every Field-1 chirp: mode slots and orientation alike).
-    pub(crate) fn field1_chirp(&self) -> ChirpConfig {
+    fn field1_chirp(&self) -> ChirpConfig {
         let mut cfg = self.fidelity.triangular();
         cfg.amplitude = self.ap.tx.amplitude();
         cfg
     }
 
     /// Renders the node's ADC captures of one Field-1 triangular chirp at
-    /// both ports (both ports absorptive/listening) into `r.caps`.
-    fn field1_node_captures_in(&mut self, r: &mut Field1Render) {
+    /// both ports (both ports absorptive/listening) into
+    /// `ctx.field1.caps`.
+    fn field1_node_captures_in(&mut self, ctx: &mut SessionCtx) {
         let cfg = self.field1_chirp();
-        r.chirp_captures(cfg, &self.scene, &self.node, &mut self.rng);
+        let r = &mut ctx.field1;
+        r.chirp_captures(
+            &mut ctx.chan,
+            &mut self.field1,
+            cfg,
+            &self.scene,
+            &self.node,
+            &mut self.rng,
+        );
         // Node-side impairments act on the detector output (blockage,
         // saturation, droop); no-op when the plan is empty.
         let adc_fs = self.node.adc.sample_rate;
@@ -644,26 +637,31 @@ impl Network {
     }
 
     /// Renders the node's ADC captures of one Field-1 triangular chirp at
-    /// both ports (both ports absorptive/listening). The port signals and
-    /// their noiseless detector video are memoized per pose in the
-    /// thread-local [`Field1Render`]; each call draws fresh detector noise.
+    /// both ports (both ports absorptive/listening). The noiseless
+    /// detector video of each port is memoized per pose on this network;
+    /// each call draws fresh detector noise.
     pub fn field1_node_captures(&mut self) -> (Vec<f64>, Vec<f64>) {
-        with_field1_render(|r| {
-            self.field1_node_captures_in(r);
-            (r.caps[0].clone(), r.caps[1].clone())
+        with_session_ctx(|ctx| {
+            self.field1_node_captures_in(ctx);
+            let [a, b] = &ctx.field1.caps;
+            (a.clone(), b.clone())
         })
     }
 
     /// Runs §5.2(b): the node estimates its own orientation from the
     /// triangular chirp's peak separation.
     pub fn sense_orientation_at_node(&mut self) -> Option<f64> {
+        with_session_ctx(|ctx| self.sense_orientation_at_node_in(ctx))
+    }
+
+    /// [`Self::sense_orientation_at_node`] in caller-owned scratch.
+    pub(crate) fn sense_orientation_at_node_in(&mut self, ctx: &mut SessionCtx) -> Option<f64> {
         let mut est = NodeOrientationEstimator::milback();
         est.chirp = self.fidelity.triangular();
         est.sample_rate = self.node.adc.sample_rate;
-        with_field1_render(|r| {
-            self.field1_node_captures_in(r);
-            est.estimate(&self.node.fsa, &r.caps[0], &r.caps[1])
-        })
+        self.field1_node_captures_in(ctx);
+        let [a, b] = &ctx.field1.caps;
+        est.estimate(&self.node.fsa, a, b)
     }
 
     /// Convenience for experiments: a fresh sub-RNG seeded from the main
@@ -734,6 +732,17 @@ mod tests {
             let err = rad_to_deg(est - true_inc).abs();
             assert!(err < 4.0, "ψ={deg}°: err {err}°");
         }
+    }
+
+    #[test]
+    fn mode_signalling_through_channel() {
+        let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(10.0));
+        let mut net = Network::new(pose, Fidelity::Fast, 21);
+        assert_eq!(net.signal_mode(LinkMode::Uplink), Some(LinkMode::Uplink));
+        assert_eq!(
+            net.signal_mode(LinkMode::Downlink),
+            Some(LinkMode::Downlink)
+        );
     }
 
     #[test]

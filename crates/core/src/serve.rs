@@ -11,14 +11,15 @@
 //!   of [`crate::batch::run_stealing_with_threads`]. Stealing moves
 //!   whole chains between workers, so per-node FIFO order holds by
 //!   construction while uneven chain costs still balance.
-//! * **Pooled session state** — every reusable buffer a session touches
-//!   ([`SessionCtx`]: DSP workspace, channel cache, Field-2 render
-//!   buffers, triage scratch) lives in pool slots checked out per chain;
-//!   per-node [`Network`]s, packet buffers and fault plans live in the
-//!   lanes. The steady-state `Localize` serving loop performs **zero
-//!   heap allocations** (pinned by `tests/zero_alloc.rs`; the `Downlink`
-//!   / `Uplink` classes still allocate inside the link layer's
-//!   modulator, documented in DESIGN.md §15).
+//! * **Pooled session state** — worker scratch lives in [`SessionCtx`]
+//!   pool slots checked out per chain: every buffer of all five stages
+//!   (Field-1 render, node orientation, Field-2 burst and triage, AP
+//!   DSP, payload link scratch) and the one channel cache they share.
+//!   The lanes keep per-node [`Network`]s with only pose-keyed memos,
+//!   plus packet buffers and fault plans. The steady-state `Localize`
+//!   serving loop performs **zero heap allocations** (pinned by
+//!   `tests/zero_alloc.rs`; the `Downlink` / `Uplink` classes still
+//!   allocate a few buffers per exchange, documented in DESIGN.md §15).
 //! * **Bounded queues + backpressure** — the submission buffer holds at
 //!   most `queue_capacity` requests. [`ServeEngine::try_submit`] returns
 //!   the request back when full; [`ServeEngine::submit`] instead makes

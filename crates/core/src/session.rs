@@ -1,13 +1,13 @@
 //! Self-healing packet sessions (DESIGN.md §14).
 //!
-//! [`crate::protocol::PacketOutcome`] reports what happened in one shot
-//! of the paper's §7 exchange — and under impairments it degrades to a
-//! fistful of silent `None`s. This module is the supervisor a deployment
-//! would actually run: bounded retry with exponential backoff on Field-1
-//! mode detection, localization fallback to a reduced-chirp
-//! background-subtraction estimate when Field-2 chirps die, ARQ-budgeted
-//! payload delivery driven by the same [`Backoff`] policy, and a typed
-//! [`SessionError`]/[`Degradation`] report in place of silence.
+//! [`Session::run`] is the one session path: the paper's §7 exchange
+//! (Field 1, Field 2, then the payload) under a supervisor a deployment
+//! would actually run — bounded retry with exponential backoff on
+//! Field-1 mode detection, localization fallback to a reduced-chirp
+//! background-subtraction estimate when Field-2 chirps die,
+//! ARQ-budgeted payload delivery driven by the same [`Backoff`] policy,
+//! and a typed [`SessionError`]/[`Degradation`] report in place of
+//! silence.
 //!
 //! Retries are not free: every render and every backoff advances
 //! [`Network::clock_s`], the session clock the fault windows of
@@ -15,9 +15,14 @@
 //! end of a blockage window is therefore *real* recovery — the retry
 //! re-renders the channel at a later time and genuinely sees it clear —
 //! which is what `tests/robustness.rs` pins.
+//!
+//! Scratch has one owner: every working buffer of all five stages
+//! lives in a [`SessionCtx`], pose-keyed memos live on the lane's
+//! [`Network`], and the thread's `RUN_CTX` ([`with_session_ctx`]) is the
+//! one fallback for callers that pool no context of their own.
 
-use crate::link::{DownlinkReport, UplinkReport};
-use crate::network::{Field2Burst, Network};
+use crate::link::{DownlinkReport, LinkScratch, UplinkReport};
+use crate::network::{Field1Scratch, Field2Burst, Network};
 use milback_ap::ranging::LocalizationResult;
 use milback_ap::workspace::DspWorkspace;
 use milback_dsp::buffer::track_growth;
@@ -69,8 +74,11 @@ pub enum Degradation {
     /// Field-2 work (localization + AP-side orientation) was shed by the
     /// serving engine's overload policy before any chirps went on air:
     /// no fix was attempted, but Field-1 mode signalling and the payload
-    /// ARQ still ran, with the tone plan taken from the cached
-    /// orientation instead of a fresh Field-2 sense (DESIGN.md §15).
+    /// ARQ still ran (DESIGN.md §15). The payload's tone plan is not
+    /// sensed: it is `plan_tones(use_truth = true)`, which reads the
+    /// node's ground-truth orientation (`Network::true_orientation`).
+    /// ROADMAP item 3 replaces that with the lane's last measured
+    /// orientation.
     Field2Shed,
 }
 
@@ -221,21 +229,29 @@ impl SessionReport {
     }
 }
 
-/// Pooled per-session scratch state (DESIGN.md §15): every reusable
-/// buffer a supervised exchange touches outside the link layer — the
-/// AP's DSP workspace, the channel-synthesis cache, the Field-2 render
-/// buffers and the triage scratch. The serving engine owns one
-/// `SessionCtx` per pool slot and checks it out per session, so the
-/// steady-state localization service loop performs zero heap
-/// allocations (pinned by `tests/zero_alloc.rs`).
+/// The one scratch owner of a supervised exchange (DESIGN.md §15):
+/// every working buffer of all five stages — Field-1 render buffers,
+/// node orientation, the Field-2 burst, AP-side DSP, and the payload's
+/// link scratch — plus the single channel-synthesis workspace they all
+/// render through. Lanes keep only pose-keyed memos; a worker owns one
+/// `SessionCtx` and runs every lane's sessions in it, so a fabric of N
+/// lanes carries one scratch set per worker, not per lane. The serving
+/// engine checks one out per chain, and the steady-state localization
+/// service loop performs zero heap allocations (pinned by
+/// `tests/zero_alloc.rs`).
 #[derive(Default)]
 pub struct SessionCtx {
     /// AP-side DSP buffers (dechirp → FFT → background → detection).
     pub dsp: DspWorkspace,
-    /// Channel-synthesis cache + render scratch (DESIGN.md §13).
+    /// Channel-synthesis cache + render scratch (DESIGN.md §13), shared
+    /// by every stage.
     pub chan: ChannelWorkspace,
     /// Field-2 render buffers: TX reference + per-chirp capture pairs.
     pub burst: Field2Burst,
+    /// Field-1 render buffers (DESIGN.md §13.6).
+    pub(crate) field1: Field1Scratch,
+    /// Downlink/uplink working buffers (DESIGN.md §17.3).
+    pub(crate) link: LinkScratch,
     /// Per-chirp burst energies (triage input).
     energies: Vec<f64>,
     /// Sort scratch for the triage energy median.
@@ -249,13 +265,31 @@ impl SessionCtx {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The node's capture behind the last `signal_mode` decision run in
+    /// this context: both ports summed, three slots back to back, faults
+    /// applied.
+    pub fn mode_capture(&self) -> &[f64] {
+        &self.field1.combined
+    }
 }
 
 thread_local! {
-    /// Shared context for [`Session::run`] callers that don't pool their
-    /// own (batch workers, tests): warms once per thread, like the other
-    /// thread-local workspaces.
+    /// The thread's fallback context behind [`Session::run`] and the
+    /// convenience `Network` methods (batch workers, tests, examples):
+    /// warms once per thread. The only thread-local of this crate.
     static RUN_CTX: RefCell<SessionCtx> = RefCell::new(SessionCtx::default());
+}
+
+/// Runs `f` with this thread's shared [`SessionCtx`]. Re-entrant
+/// checkouts (a closure calling back into a convenience method) fall
+/// back to a fresh temporary context — correctness never depends on
+/// which scratch a call lands on, only its allocation count does.
+pub fn with_session_ctx<R>(f: impl FnOnce(&mut SessionCtx) -> R) -> R {
+    RUN_CTX.with(|c| match c.try_borrow_mut() {
+        Ok(mut ctx) => f(&mut ctx),
+        Err(_) => f(&mut SessionCtx::default()),
+    })
 }
 
 /// Outcome of one Field-2-only localization request — the serving
@@ -289,23 +323,18 @@ impl Session {
         Self { config }
     }
 
-    /// Runs one supervised exchange of `packet` over `net`.
+    /// Runs one supervised exchange of `packet` over `net`: Field-1
+    /// mode signalling with retry and backoff, node-side orientation,
+    /// Field-2 localization with dead-chirp triage and AP-side
+    /// orientation, then the payload through its ARQ budget. With an
+    /// empty [`milback_rf::faults::FaultPlan`] nothing is retried.
+    /// Returns `Err(SessionError)` only when a budget is exhausted.
     ///
-    /// The happy path is bitwise identical to
-    /// [`crate::protocol`]'s un-supervised flow with an empty
-    /// [`milback_rf::faults::FaultPlan`]: same render order, same RNG
-    /// draws, no retries. Under faults the supervisor retries Field 1
-    /// with backoff, triages dead Field-2 chirps before localization,
-    /// and drives the payload through its ARQ budget; it returns
-    /// `Err(SessionError)` only when a budget is exhausted.
-    ///
-    /// Scratch comes from a thread-local [`SessionCtx`]; pooled callers
-    /// (the serving engine) use [`Session::run_in`] with their own.
+    /// Scratch comes from this thread's [`SessionCtx`]
+    /// ([`with_session_ctx`]); pooled callers (the serving engine, the
+    /// fabric) use [`Session::run_in`] with their own.
     pub fn run(&self, net: &mut Network, packet: &Packet) -> Result<SessionReport, SessionError> {
-        RUN_CTX.with(|c| match c.try_borrow_mut() {
-            Ok(mut ctx) => self.run_in(&mut ctx, net, packet, false),
-            Err(_) => self.run_in(&mut SessionCtx::default(), net, packet, false),
-        })
+        with_session_ctx(|ctx| self.run_in(ctx, net, packet, false))
     }
 
     /// [`Session::run`] with caller-owned scratch and an overload flag.
@@ -314,9 +343,11 @@ impl Session {
     /// same RNG draws, same report). With `shed_field2 == true` — the
     /// serving engine's load-shedding path — the session skips all
     /// Field-2 work (localization triage and AP-side orientation, their
-    /// airtime included), records [`Degradation::Field2Shed`], and
-    /// delivers the payload over the cached-orientation tone plan so the
-    /// ARQ stays alive under overload.
+    /// airtime included) and records [`Degradation::Field2Shed`], so the
+    /// payload ARQ stays alive under overload. The shed payload plans
+    /// its tones with `plan_tones(use_truth = true)`, which reads the
+    /// node's ground-truth orientation, not a cached measurement; ROADMAP
+    /// item 3 is the fix.
     pub fn run_in(
         &self,
         ctx: &mut SessionCtx,
@@ -333,7 +364,7 @@ impl Session {
         let mut mode_attempts = 0;
         loop {
             mode_attempts += 1;
-            let heard = net.signal_mode(packet.mode);
+            let heard = net.signal_mode_in(ctx, packet.mode);
             net.clock_s += pkt.field1_duration();
             if heard == Some(packet.mode) {
                 break;
@@ -358,7 +389,7 @@ impl Session {
         }
 
         // --- Field 1: node-side orientation ----------------------------
-        let node_orientation = net.sense_orientation_at_node();
+        let node_orientation = net.sense_orientation_at_node_in(ctx);
         net.clock_s += pkt.field1_chirp.duration;
         if node_orientation.is_none() {
             degradations.push(Degradation::NoNodeOrientation);
@@ -368,7 +399,7 @@ impl Session {
         let (fix, chirps_used, ap_orientation) = if shed_field2 {
             // Overload: no Field-2 chirps go on air at all — the airtime
             // is the saving — and the payload below plans its tones from
-            // the cached orientation instead of a fresh sense.
+            // the ground-truth orientation instead of a fresh sense.
             telemetry::counter_add("core.session.field2_shed", 1);
             degradations.push(Degradation::Field2Shed);
             (None, 0, None)
@@ -378,7 +409,7 @@ impl Session {
             if fix.is_none() {
                 degradations.push(Degradation::NoFix);
             }
-            let ap_orientation = net.sense_orientation_at_ap();
+            let ap_orientation = net.sense_orientation_at_ap_in(ctx);
             net.clock_s += cfg.field2_airtime_s(&pkt);
             if ap_orientation.is_none() {
                 degradations.push(Degradation::NoApOrientation);
@@ -390,22 +421,12 @@ impl Session {
         let mut downlink = None;
         let mut uplink = None;
         let payload_attempts = match packet.mode {
-            LinkMode::Downlink => self.deliver_downlink(
-                net,
-                packet,
-                cfg.payload_airtime_s(&pkt),
-                shed_field2,
-                &mut downlink,
-                &mut backoff_s,
-            ),
-            LinkMode::Uplink => self.deliver_uplink(
-                net,
-                packet,
-                cfg.payload_airtime_s(&pkt),
-                shed_field2,
-                &mut uplink,
-                &mut backoff_s,
-            ),
+            LinkMode::Downlink => {
+                self.deliver_downlink(ctx, net, packet, shed_field2, &mut downlink, &mut backoff_s)
+            }
+            LinkMode::Uplink => {
+                self.deliver_uplink(ctx, net, packet, shed_field2, &mut uplink, &mut backoff_s)
+            }
         };
         let Some(payload_attempts) = payload_attempts else {
             telemetry::counter_add("core.session.fail", 1);
@@ -548,21 +569,24 @@ impl Session {
 
     /// Downlink payload with bounded repeat: the AP re-sends until the
     /// node's CRC passes or the budget runs out. Returns attempts used,
-    /// or `None` on exhaustion. `cached_tones` plans the carriers from
-    /// the cached orientation instead of a fresh Field-2 sense (the
-    /// shed path, where no Field-2 airtime is spent).
+    /// or `None` on exhaustion. `cached_tones` (the shed path, where no
+    /// Field-2 airtime is spent) skips the Field-2 sense and plans the
+    /// carriers from the node's ground-truth orientation
+    /// (`plan_tones(use_truth = true)`), not from a cached measurement;
+    /// ROADMAP item 3 is the fix.
     fn deliver_downlink(
         &self,
+        ctx: &mut SessionCtx,
         net: &mut Network,
         packet: &Packet,
-        airtime_s: f64,
         cached_tones: bool,
         out: &mut Option<DownlinkReport>,
         backoff_s: &mut f64,
     ) -> Option<usize> {
         let cfg = &self.config;
+        let airtime_s = cfg.payload_airtime_s(&net.fidelity.packet());
         for attempt in 1..=cfg.payload_attempts {
-            let report = net.downlink(&packet.payload, cfg.symbol_rate, cached_tones);
+            let report = net.downlink_in(ctx, &packet.payload, cfg.symbol_rate, cached_tones);
             // Single-carrier OOK carries 1 bit/symbol instead of 2, so
             // the same payload occupies twice the airtime.
             net.clock_s += match &report {
@@ -587,24 +611,25 @@ impl Session {
     /// Uplink payload through the stop-and-wait ARQ machine, with the
     /// session's backoff between attempts. Returns attempts used, or
     /// `None` on exhaustion. `cached_tones` as in
-    /// [`Session::deliver_downlink`].
+    /// [`Session::deliver_downlink`]: ground truth, not a cache.
     fn deliver_uplink(
         &self,
+        ctx: &mut SessionCtx,
         net: &mut Network,
         packet: &Packet,
-        airtime_s: f64,
         cached_tones: bool,
         out: &mut Option<UplinkReport>,
         backoff_s: &mut f64,
     ) -> Option<usize> {
         let cfg = &self.config;
+        let airtime_s = cfg.payload_airtime_s(&net.fidelity.packet());
         let mut tx = ArqSender::new(cfg.payload_attempts);
         let mut rx = ArqReceiver::new();
         tx.start(&packet.payload);
         let mut attempts = 0;
         loop {
             attempts += 1;
-            let report = net.uplink(tx.frame()?, cfg.symbol_rate, cached_tones);
+            let report = net.uplink_in(ctx, tx.frame()?, cfg.symbol_rate, cached_tones);
             // OOK attempts take twice the airtime (see deliver_downlink).
             net.clock_s += match &report {
                 Some(r) if r.tones.bits_per_symbol() == 1 => 2.0 * airtime_s,
@@ -634,6 +659,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptation::arq_payload_of;
     use crate::config::Fidelity;
     use milback_rf::faults::{FaultEvent, FaultKind, FaultPlan};
     use milback_rf::geometry::{deg_to_rad, Pose};
@@ -816,6 +842,58 @@ mod tests {
         // fresh network with the same seed.
         assert_eq!(s.fix, net_at(2.0, 38).localize());
         assert!(s.fix.is_some());
+    }
+
+    #[test]
+    fn full_downlink_packet() {
+        let mut net = net_at(2.0, 22);
+        let packet = Packet::downlink((0..16).collect());
+        let report = Session::default()
+            .run(&mut net, &packet)
+            .expect("downlink session failed");
+        assert_eq!((report.mode, report.mode_attempts), (LinkMode::Downlink, 1));
+        // One payload attempt, as a single-shot exchange makes.
+        assert_eq!(report.payload_attempts, 1);
+        assert!(report.fix.is_some());
+        assert!(report.node_orientation.is_some());
+        assert!(report.ap_orientation.is_some());
+        let dl = report.downlink.expect("downlink did not run");
+        assert_eq!(dl.payload.as_deref().unwrap(), &packet.payload[..]);
+    }
+
+    #[test]
+    fn full_uplink_packet() {
+        let mut net = net_at(2.0, 23);
+        let packet = Packet::uplink(vec![0xC3; 16]);
+        let session = Session::new(SessionConfig {
+            symbol_rate: 5e6,
+            ..SessionConfig::milback()
+        });
+        let report = session
+            .run(&mut net, &packet)
+            .expect("uplink session failed");
+        assert_eq!((report.mode, report.mode_attempts), (LinkMode::Uplink, 1));
+        assert_eq!(report.payload_attempts, 1);
+        let ul = report.uplink.expect("uplink did not run");
+        let frame = ul.payload.expect("uplink CRC failed");
+        assert_eq!(arq_payload_of(&frame), Some(&packet.payload[..]));
+    }
+
+    #[test]
+    fn mode_mismatch_skips_payload() {
+        // A node too far away to hear Field 1 must not attempt the
+        // payload: the session gives up at mode detection, and no
+        // downlink frame goes on air.
+        let mut net = Network::new(Pose::facing_ap(40.0, 0.0, 0.0), Fidelity::Fast, 24);
+        let packet = Packet::downlink(vec![1, 2, 3]);
+        let (result, snap) =
+            milback_telemetry::capture(|| Session::default().run(&mut net, &packet));
+        let err = result.expect_err("a node at 40 m heard Field 1");
+        assert_eq!(err.kind, FailureKind::ModeDetect);
+        assert_eq!(err.attempts, SessionConfig::milback().mode_attempts);
+        assert_eq!(snap.counters.get("core.session.fail"), Some(&1));
+        assert!(!snap.counters.contains_key("core.link.downlink.frames"));
+        assert!(!snap.histograms.contains_key("core.link.downlink.ns"));
     }
 
     #[test]

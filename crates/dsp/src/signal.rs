@@ -24,6 +24,14 @@ pub struct Signal {
     pub samples: Vec<Cpx>,
 }
 
+/// An empty placeholder (1 Hz, no carrier, no samples) for pooled
+/// buffers: every producer overwrites `fs`/`fc` and resizes.
+impl Default for Signal {
+    fn default() -> Self {
+        Self::new(1.0, 0.0, Vec::new())
+    }
+}
+
 impl Signal {
     /// Creates a signal from raw samples.
     pub fn new(fs: f64, fc: f64, samples: Vec<Cpx>) -> Self {

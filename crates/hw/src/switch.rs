@@ -155,6 +155,13 @@ pub enum SwitchSchedule {
     Events(Vec<(f64, SwitchState)>),
 }
 
+/// The parked node: both ports absorbing, forever.
+impl Default for SwitchSchedule {
+    fn default() -> Self {
+        SwitchSchedule::Constant(SwitchState::Absorptive)
+    }
+}
+
 impl SwitchSchedule {
     /// A 10 kHz localization square wave starting reflective (paper §5.1).
     pub fn milback_localization() -> Self {

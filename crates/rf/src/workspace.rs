@@ -44,8 +44,9 @@
 //! * `rf.workspace.grow.local` — one count per cache entry built
 //!   (insert or LRU replacement).
 //!
-//! `rf.workspace.reuse` counts thread-local checkouts and is
-//! thread-invariant, mirroring `dsp.workspace.reuse`.
+//! `rf.workspace.reuse` counts checkouts of the thread-local workspace
+//! behind [`with_channel_workspace`] (the allocating `Scene` wrappers)
+//! and is thread-invariant. Callers that own a workspace count nothing.
 
 use crate::channel::{PortTables, RayTables, TxComponent};
 use crate::fsa::{DualPortFsa, Port};
@@ -226,9 +227,10 @@ impl<K: PartialEq + Copy, V> Lru<K, V> {
 // The workspace
 // ---------------------------------------------------------------------
 
-/// Caller-owned cache set for channel synthesis. Mirrors
-/// `milback_ap::workspace::DspWorkspace`: own one directly or borrow
-/// the thread-local instance through [`with_channel_workspace`].
+/// Caller-owned cache set for channel synthesis. Own one directly (as
+/// `milback`'s per-worker `SessionCtx` does, one for every session
+/// stage) or let the allocating `Scene` wrappers borrow the thread-local
+/// instance through [`with_channel_workspace`].
 pub struct ChannelWorkspace {
     statics: Lru<StaticKey, Vec<Cpx>>,
     rays: Lru<RayKey, RayTables>,

@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use milback::{Fidelity, Network};
+use milback::adaptation::arq_payload_of;
+use milback::{Fidelity, Network, Session, SessionConfig};
 use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, rad_to_deg, Pose};
 
@@ -45,10 +46,13 @@ fn main() {
     }
 
     // 3. A full downlink packet: Field 1 signals the mode, Field 2
-    //    localizes, then the payload rides on orientation-selected tones.
+    //    localizes, then the payload rides on orientation-selected tones
+    //    (1 Msym/s, the session default).
     let downlink = Packet::downlink(b"hello node, please report".to_vec());
-    let outcome = net.run_packet(&downlink, 1e6);
-    let dl = outcome.downlink.expect("downlink did not run");
+    let report = Session::default()
+        .run(&mut net, &downlink)
+        .expect("downlink session failed");
+    let dl = report.downlink.expect("downlink did not run");
     println!(
         "downlink: tones {:?}, SINR {:.1} dB, {} bit errors, payload {:?}",
         dl.tones,
@@ -60,18 +64,25 @@ fn main() {
     );
 
     // 4. A full uplink packet: the node backscatters its data on the
-    //    two-tone query.
+    //    two-tone query at 5 Msym/s.
     let uplink = Packet::uplink(b"temp=23C batt=97% status=ok".to_vec());
-    let outcome = net.run_packet(&uplink, 5e6);
-    let ul = outcome.uplink.expect("uplink did not run");
+    let session = Session::new(SessionConfig {
+        symbol_rate: 5e6,
+        ..SessionConfig::milback()
+    });
+    let report = session
+        .run(&mut net, &uplink)
+        .expect("uplink session failed");
+    let ul = report.uplink.expect("uplink did not run");
+    // The session carries the uplink in one ARQ frame; strip its header.
     println!(
         "uplink:   tones {:?}, SNR {:.1} dB, {} bit errors, payload {:?}",
         ul.tones,
         10.0 * ul.snr.log10(),
         ul.bit_errors,
         ul.payload
-            .as_ref()
-            .map(|p| String::from_utf8_lossy(p).into_owned())
+            .as_deref()
+            .map(|f| String::from_utf8_lossy(arq_payload_of(f).unwrap_or(f)).into_owned())
     );
 
     // 5. What it costs the node (paper §9.6).

@@ -7,7 +7,8 @@
 //! cargo run --release --example two_way_link
 //! ```
 
-use milback::{Fidelity, Network};
+use milback::adaptation::arq_payload_of;
+use milback::{Fidelity, Network, Session, SessionConfig};
 use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, Pose};
 
@@ -26,32 +27,36 @@ fn main() {
     println!("MilBack two-way link demo (node at 4 m)");
     println!("========================================");
 
-    // Round 1: AP → node configuration.
+    // Round 1: AP → node configuration at 1 Msym/s (the session default).
     let config = b"cfg:rate=10Mbps;led=on;interval=50ms".to_vec();
-    let outcome = net.run_packet(&Packet::downlink(config.clone()), 1e6);
-    let dl = outcome.downlink.expect("downlink did not run");
+    let report = Session::default()
+        .run(&mut net, &Packet::downlink(config.clone()))
+        .expect("downlink session failed");
+    let dl = report.downlink.expect("downlink did not run");
     println!(
-        "[AP → node] {} bytes, SINR {:.1} dB, {} — node heard mode {:?}",
+        "[AP → node] {} bytes, SINR {:.1} dB, {} — node heard mode {:?} in {} Field-1 attempt(s)",
         config.len(),
         10.0 * dl.sinr.log10(),
         checksum_ok(&dl.payload),
-        outcome.mode_detected
+        report.mode,
+        report.mode_attempts
     );
     if let Ok(p) = &dl.payload {
         println!("            node decoded: {:?}", String::from_utf8_lossy(p));
     }
 
     // Rounds 2-4: node → AP sensor reports at 10 Mbps (5 Msym/s).
+    let uplink_session = Session::new(SessionConfig {
+        symbol_rate: 5e6,
+        ..SessionConfig::milback()
+    });
     for round in 0..3 {
         let report = format!("report#{round}:imu=ok;temp={}C", 21 + round).into_bytes();
-        let outcome = net.run_packet(&Packet::uplink(report.clone()), 5e6);
-        let Some(ul) = outcome.uplink else {
-            // Mode signalling or orientation sensing missed this packet —
-            // a real deployment would simply retransmit.
-            println!(
-                "[node → AP] packet missed (mode {:?}) — retrying next round",
-                outcome.mode_detected
-            );
+        let outcome = uplink_session.run(&mut net, &Packet::uplink(report.clone()));
+        let Some((ul, fix)) = outcome.ok().and_then(|o| Some((o.uplink?, o.fix))) else {
+            // The session exhausted a retry budget on this packet — a
+            // real deployment would simply try again later.
+            println!("[node → AP] packet missed — retrying next round");
             continue;
         };
         println!(
@@ -61,11 +66,12 @@ fn main() {
             ul.bit_errors,
             checksum_ok(&ul.payload)
         );
-        if let Ok(p) = &ul.payload {
+        // The session carries the report in one ARQ frame.
+        if let Some(p) = ul.payload.as_deref().ok().and_then(arq_payload_of) {
             println!("            AP decoded:  {:?}", String::from_utf8_lossy(p));
         }
         // Each packet re-localizes the node for free (Field 2).
-        if let Some(fix) = outcome.fix {
+        if let Some(fix) = fix {
             println!(
                 "            side-effect localization: {:.2} m (truth {:.2} m)",
                 fix.range,

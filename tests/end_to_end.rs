@@ -2,7 +2,8 @@
 //! orientation sensing at both ends, downlink and uplink — running through
 //! the cluttered indoor channel.
 
-use milback::{Fidelity, Network};
+use milback::adaptation::arq_payload_of;
+use milback::{Fidelity, Network, Session, SessionConfig};
 use milback_proto::packet::{LinkMode, Packet};
 use milback_rf::geometry::{deg_to_rad, rad_to_deg, Pose};
 
@@ -53,9 +54,15 @@ fn full_packet_round_trip_both_modes() {
     let pose = Pose::facing_ap(2.5, 0.0, deg_to_rad(-10.0));
     let mut net = Network::new(pose, Fidelity::Fast, 1001);
 
+    // The node hears each mode on the first Field-1 attempt, the
+    // packet's Field 2 localizes it, and the payload arrives intact on
+    // its first attempt.
     let down = Packet::downlink((0u8..32).collect());
-    let out = net.run_packet(&down, 1e6);
-    assert_eq!(out.mode_detected, Some(LinkMode::Downlink));
+    let out = Session::default()
+        .run(&mut net, &down)
+        .expect("downlink session failed");
+    assert_eq!((out.mode, out.mode_attempts), (LinkMode::Downlink, 1));
+    assert_eq!(out.payload_attempts, 1);
     assert!(out.fix.is_some(), "no localization in packet");
     assert_eq!(
         out.downlink
@@ -67,15 +74,21 @@ fn full_packet_round_trip_both_modes() {
     );
 
     let up = Packet::uplink((100u8..132).collect());
-    let out = net.run_packet(&up, 5e6);
-    assert_eq!(out.mode_detected, Some(LinkMode::Uplink));
+    let uplink_5msym = Session::new(SessionConfig {
+        symbol_rate: 5e6,
+        ..SessionConfig::milback()
+    });
+    let out = uplink_5msym
+        .run(&mut net, &up)
+        .expect("uplink session failed");
+    assert_eq!((out.mode, out.mode_attempts), (LinkMode::Uplink, 1));
+    assert_eq!(out.payload_attempts, 1);
+    // A session's uplink travels as one ARQ frame; the node's bytes are
+    // its payload.
+    let frame = out.uplink.expect("uplink skipped").payload.unwrap();
     assert_eq!(
-        out.uplink
-            .expect("uplink skipped")
-            .payload
-            .as_deref()
-            .unwrap(),
-        &(100u8..132).collect::<Vec<u8>>()[..]
+        arq_payload_of(&frame),
+        Some(&(100u8..132).collect::<Vec<u8>>()[..])
     );
 }
 

@@ -10,7 +10,7 @@
 //! decisions, and the RNG state after each call, bit for bit, over a
 //! pose × seed × fault sweep.
 
-use milback::network::with_field1_render;
+use milback::session::with_session_ctx;
 use milback::{Fidelity, Network};
 use milback_dsp::signal::Signal;
 use milback_node::mode_detect::ModeDetector;
@@ -143,7 +143,7 @@ fn sweep_pose(p: usize) {
             ] {
                 let (decision, capture) = decide(&net, raw.clone());
                 assert_eq!(net.signal_mode(mode), decision, "{ctx}: {mode:?}");
-                let got = with_field1_render(|r| bits(r.mode_capture()));
+                let got = with_session_ctx(|ctx| bits(ctx.mode_capture()));
                 assert_eq!(got, bits(&capture), "{ctx}: {mode:?} capture");
                 assert!(net.rng() == rng_after, "{ctx}: rng after {mode:?}");
             }
@@ -195,14 +195,14 @@ fn receive_port_matches_full_rate_oracle() {
     }
 }
 
-/// Runs the Field-1 captures on this thread's render and checks them
-/// against the oracle on a clone; returns how many port renders the
-/// call performed.
+/// Runs the Field-1 captures and checks them against the oracle on a
+/// clone; returns how many port renders the call performed (the lane's
+/// memo misses).
 fn renders_and_check(net: &mut Network, what: &str) -> u64 {
     let mut oracle = net.clone();
-    let before = with_field1_render(|r| r.port_renders());
+    let before = net.field1_port_renders();
     let (a, b) = net.field1_node_captures();
-    let after = with_field1_render(|r| r.port_renders());
+    let after = net.field1_port_renders();
     let ports = port_signals(&oracle);
     let [ea, eb] = captures_full_rate(&mut oracle, &ports);
     assert_eq!(bits(&a), bits(&ea), "{what}: port A");
@@ -215,35 +215,63 @@ fn renders_and_check(net: &mut Network, what: &str) -> u64 {
 /// changes, and every result equals a fresh full-rate render.
 #[test]
 fn memo_recomputes_on_every_tap_input() {
-    // A fresh thread: its render starts empty whatever else ran here.
-    std::thread::spawn(|| {
-        let mut net = Network::new(pose(2), Fidelity::Fast, 9);
-        assert_eq!(renders_and_check(&mut net, "cold"), 2);
-        assert_eq!(renders_and_check(&mut net, "warm"), 0);
-        net.faults = faults(9, 0.6);
-        assert_eq!(renders_and_check(&mut net, "faults only"), 0);
+    let mut net = Network::new(pose(2), Fidelity::Fast, 9);
+    assert_eq!(renders_and_check(&mut net, "cold"), 2);
+    assert_eq!(renders_and_check(&mut net, "warm"), 0);
+    net.faults = faults(9, 0.6);
+    assert_eq!(renders_and_check(&mut net, "faults only"), 0);
 
-        net.set_node_pose(pose(3));
-        assert_eq!(renders_and_check(&mut net, "pose"), 2);
-        net.scene.clutter.push(Reflector {
-            position: Point::new(1.5, 0.4),
-            rcs: 0.3,
-        });
-        assert_eq!(renders_and_check(&mut net, "clutter"), 2);
-        net.node.detector.slope *= 1.5;
-        assert_eq!(renders_and_check(&mut net, "slope"), 2);
-        net.node.detector.video_bandwidth *= 0.5;
-        assert_eq!(renders_and_check(&mut net, "video bandwidth"), 2);
-        net.node.impl_loss_db += 1.0;
-        assert_eq!(renders_and_check(&mut net, "impl loss"), 2);
-        assert_eq!(renders_and_check(&mut net, "settled"), 0);
+    net.set_node_pose(pose(3));
+    assert_eq!(renders_and_check(&mut net, "pose"), 2);
+    net.scene.clutter.push(Reflector {
+        position: Point::new(1.5, 0.4),
+        rcs: 0.3,
+    });
+    assert_eq!(renders_and_check(&mut net, "clutter"), 2);
+    net.node.detector.slope *= 1.5;
+    assert_eq!(renders_and_check(&mut net, "slope"), 2);
+    net.node.detector.video_bandwidth *= 0.5;
+    assert_eq!(renders_and_check(&mut net, "video bandwidth"), 2);
+    net.node.impl_loss_db += 1.0;
+    assert_eq!(renders_and_check(&mut net, "impl loss"), 2);
+    assert_eq!(renders_and_check(&mut net, "settled"), 0);
 
-        // signal_mode shares the memo: a warm pose renders nothing more.
-        let before = with_field1_render(|r| r.port_renders());
-        net.signal_mode(LinkMode::Uplink);
-        net.signal_mode(LinkMode::Downlink);
-        assert_eq!(with_field1_render(|r| r.port_renders()), before);
-    })
-    .join()
-    .expect("memo test thread panicked");
+    // signal_mode shares the memo: a warm pose renders nothing more.
+    let before = net.field1_port_renders();
+    net.signal_mode(LinkMode::Uplink);
+    net.signal_mode(LinkMode::Downlink);
+    assert_eq!(net.field1_port_renders(), before);
+}
+
+/// The memo belongs to the lane's pose, not to the worker's scratch: two
+/// networks at different poses alternating `signal_mode` through one
+/// `SessionCtx` (this thread's) render each port once, on their first
+/// call, and never again — and every capture, decision and RNG state
+/// still equals the full-rate oracle.
+#[test]
+fn alternating_lanes_keep_their_memos_on_one_ctx() {
+    let mut lanes = [
+        Network::new(pose(1), Fidelity::Fast, 21),
+        Network::new(pose(4), Fidelity::Fast, 22),
+    ];
+    let ports: Vec<[Signal; 2]> = lanes.iter().map(port_signals).collect();
+    for round in 0..3 {
+        for (lane, net) in lanes.iter_mut().enumerate() {
+            for mode in [LinkMode::Uplink, LinkMode::Downlink] {
+                let what = format!("round {round}, lane {lane}, {mode:?}");
+                let mut oracle = net.clone();
+                let raw = mode_capture_full_rate(&mut oracle, mode, &ports[lane]);
+                let (decision, expect) = decide(&oracle, raw);
+
+                let before = net.field1_port_renders();
+                assert_eq!(net.signal_mode(mode), decision, "{what}");
+                let renders = net.field1_port_renders() - before;
+                let got = with_session_ctx(|ctx| bits(ctx.mode_capture()));
+                assert_eq!(got, bits(&expect), "{what}: capture");
+                assert!(net.rng() == oracle.rng(), "{what}: rng");
+                let cold = round == 0 && mode == LinkMode::Uplink;
+                assert_eq!(renders, if cold { 2 } else { 0 }, "{what}: port renders");
+            }
+        }
+    }
 }

@@ -4,15 +4,16 @@
 //! kernel's unit tests; this file pins the end-to-end compositions the
 //! pipeline actually runs.
 
+use milback::session::with_session_ctx;
 use milback::{Fidelity, Network};
+use milback_ap::background;
 use milback_ap::orientation::ApOrientationEstimator;
-use milback_ap::{background, with_workspace};
 use milback_dsp::signal::Signal;
 use milback_dsp::template;
 use milback_rf::fsa::Port;
 use milback_rf::geometry::{deg_to_rad, Pose};
 
-/// `Network::localize` (which routes through the thread-local workspace
+/// `Network::localize` (which routes through the thread's `SessionCtx`
 /// and `Localizer::process_with`) must reproduce the allocating
 /// `Localizer::process` bit for bit on identically-seeded captures.
 #[test]
@@ -98,19 +99,20 @@ fn templates_match_fresh_synthesis_bitwise() {
     assert_eq!((fresh.fs, fresh.fc), (cached.fs, cached.fc));
 }
 
-/// The nested-checkout fallback of `with_workspace` stays bitwise
-/// equivalent: running a localization inside an outer checkout lands on
-/// a fresh temporary workspace and must produce the same fix.
+/// The nested-checkout fallback of the thread's session context stays
+/// bitwise equivalent: a convenience `localize` inside an outer checkout
+/// lands on a fresh temporary `SessionCtx` and must produce the same fix.
 #[test]
 fn nested_workspace_checkout_is_equivalent() {
     let pose = Pose::facing_ap(2.5, 0.0, 0.0);
+    let mut reference = Network::new(pose, Fidelity::Fast, 7);
+    let (tx, captures) = reference.field2_captures();
+    let expect = reference.localizer().process(&tx, &captures);
     let mut net = Network::new(pose, Fidelity::Fast, 7);
-    let (tx, captures) = net.field2_captures();
-    let localizer = net.localizer();
-    let expect = localizer.process(&tx, &captures);
-    let got = with_workspace(|_outer| {
-        // `localize`-style inner checkout while the outer one is held.
-        with_workspace(|ws| localizer.process_with(ws, &tx, &captures))
+    let got = with_session_ctx(|_outer| {
+        // `localize` checks the context out again while the outer
+        // checkout is held.
+        net.localize()
     });
     assert_eq!(got, expect);
 }
